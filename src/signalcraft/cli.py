@@ -565,7 +565,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SolverFailure, RuntimeError) as e:
+    except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     elapsed = time.perf_counter() - start

@@ -1,171 +1,100 @@
-"""Generic linear-program container and solve contract.
+"""The known-valuation ordering LP and its solve contract.
 
-All three signaling LPs in this package (the exact public LP, its sampled
-relaxation, and the tail-pooling feasibility system) are expressed through
-this one representation and solved by the HiGHS backend shipped with scipy.
+An optimal public scheme in the known-valuation setting needs at most n(n-1)
+signals: one signal pair(i, j) per ordered bidder pair, meaning bidder i ends
+up with the top posterior value and j with the second.  Over weighted value
+profiles the revenue of such a scheme is linear in the table phi(profile,
+pair), so the optimum is one linear program.  The exact optimal public scheme
+solves it on the prior masses; the sampled signaler solves it on an empirical
+distribution with its ordering constraints slackened.  Both call
+``solve_ordering_lp``, which hands the LP to the HiGHS backend shipped with
+scipy and checks the solution before returning it.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from .model import ValidationError
+
 FEAS_TOL = 1e-7
 
 
-class LpError(ValueError):
-    """Malformed problem handed to the solver."""
-
-
 class SolverFailure(RuntimeError):
-    """The backend returned neither optimal, infeasible, nor unbounded."""
+    """The backend returned no optimal solution, or one that fails its
+    residual check."""
 
 
-@dataclass
-class Constraint:
-    coeffs: list[tuple[int, float]]  # sparse (index, coefficient)
-    relation: str  # "<=" | "=" | ">="
-    rhs: float
+def signal_space(n: int) -> tuple[tuple[int, int], ...]:
+    """All ordered bidder pairs (i, j), i != j; size n(n-1)."""
+    if n < 2:
+        raise ValidationError(f"need at least 2 bidders, got {n}")
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-@dataclass
-class LpProblem:
-    num_vars: int
-    objective: list[tuple[int, float]]
-    sense: str = "max"  # "max" | "min"
-    constraints: list[Constraint] = field(default_factory=list)
-    bounds: list[tuple[float, float | None]] | None = None  # default [0, inf)
+def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]:
+    """Solve the ordering LP over weighted value profiles.
 
-    def add_constraint(self, coeffs, relation, rhs) -> None:
-        self.constraints.append(Constraint(list(coeffs), relation, float(rhs)))
+    ``values`` is profiles x bidders and ``weights`` has one entry per
+    profile.  Variables phi(s, pair(i,j)) lie in [0, 1] and each profile's row
+    sums to 1.  The objective is the expected second value
+    sum w_s * phi(s, (i,j)) * v_sj.  For every signal, bidder i beats j and j
+    beats every other k in weighted expectation, up to ``slack``.
 
-    def check(self) -> None:
-        if self.num_vars <= 0:
-            raise LpError(f"num_vars must be positive, got {self.num_vars}")
-        if self.sense not in ("max", "min"):
-            raise LpError(f"sense must be 'max' or 'min', got {self.sense!r}")
-
-        def scan(pairs, where):
-            for idx, coef in pairs:
-                if not (0 <= idx < self.num_vars):
-                    raise LpError(f"{where}: index {idx} out of range")
-                if not math.isfinite(coef):
-                    raise LpError(f"{where}: non-finite coefficient {coef}")
-
-        scan(self.objective, "objective")
-        for k, con in enumerate(self.constraints):
-            if con.relation not in ("<=", "=", ">="):
-                raise LpError(f"constraint {k}: bad relation {con.relation!r}")
-            if not math.isfinite(con.rhs):
-                raise LpError(f"constraint {k}: non-finite rhs {con.rhs}")
-            scan(con.coeffs, f"constraint {k}")
-
-    def dense_objective(self) -> np.ndarray:
-        c = np.zeros(self.num_vars)
-        for idx, coef in self.objective:
-            c[idx] += coef
-        return c
-
-
-@dataclass
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    values: np.ndarray | None
-    objective_value: float | None
-
-    def evaluate(self, problem: LpProblem) -> float:
-        """Recompute the objective from the solution vector."""
-        return float(problem.dense_objective() @ self.values)
-
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve with HiGHS.  Optimal solutions satisfy every constraint within
-    1e-7 and the objective within 1e-6 relative of the true optimum.
-
-    Constraint matrices are assembled sparse, so problems with many states
-    (tens of thousands of variables, a handful of entries per row) stay
-    cheap to build and solve.
+    Returns (phi, objective): phi is profiles x pairs in ``signal_space``
+    order, clipped at 0.  Raises SolverFailure unless the solve is optimal and
+    phi meets every row sum and ordering row within FEAS_TOL.
     """
-    problem.check()
-    sign = -1.0 if problem.sense == "max" else 1.0
-    c = sign * problem.dense_objective()
+    values = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    num_states, n = values.shape
+    pairs = signal_space(n)
+    num_pairs = len(pairs)
+    num_vars = num_states * num_pairs
 
-    ub = _SparseBuilder(problem.num_vars)
-    eq = _SparseBuilder(problem.num_vars)
-    for con in problem.constraints:
-        if con.relation == "<=":
-            ub.add_row(con.coeffs, con.rhs)
-        elif con.relation == ">=":
-            ub.add_row([(i, -v) for i, v in con.coeffs], -con.rhs)
-        else:
-            eq.add_row(con.coeffs, con.rhs)
-
-    bounds = problem.bounds if problem.bounds is not None else [(0, None)] * problem.num_vars
-    a_ub, b_ub = ub.build()
-    a_eq, b_eq = eq.build()
+    # state-major columns s * num_pairs + p; for each pair its top row, then
+    # its second-vs-rest rows, each touching the pair's column in every state
+    rows = [
+        (p, a, b)
+        for p, (i, j) in enumerate(pairs)
+        for a, b in [(i, j)] + [(j, k) for k in range(n) if k not in (i, j)]
+    ]
+    row_pair = np.array([p for p, _, _ in rows])
+    diffs = values[:, [a for _, a, _ in rows]] - values[:, [b for _, _, b in rows]]
+    a_ub = csr_matrix(
+        (
+            -(w[:, None] * diffs).T.ravel(),
+            (row_pair[:, None] + num_pairs * np.arange(num_states)).ravel(),
+            num_states * np.arange(len(rows) + 1),
+        ),
+        shape=(len(rows), num_vars),
+    )
+    a_eq = csr_matrix(
+        (np.ones(num_vars), np.arange(num_vars), num_pairs * np.arange(num_states + 1)),
+        shape=(num_states, num_vars),
+    )
+    c = -(w[:, None] * values[:, [j for _, j in pairs]]).ravel()
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+        c,
+        A_ub=a_ub,
+        b_ub=np.full(len(rows), float(slack)),
+        A_eq=a_eq,
+        b_eq=np.ones(num_states),
+        # phi <= 1 follows from the row sums, but HiGHS needs about twice
+        # the iterations without it
+        bounds=(0.0, 1.0),
         method="highs",
     )
-    if res.status == 0:
-        return LpSolution("optimal", np.asarray(res.x), sign * float(res.fun))
-    if res.status == 2:
-        return LpSolution("infeasible", None, None)
-    if res.status == 3:
-        return LpSolution("unbounded", None, None)
-    raise SolverFailure(f"solver returned status {res.status}: {res.message}")
-
-
-class _SparseBuilder:
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.rhs: list[float] = []
-
-    def add_row(self, coeffs, rhs: float) -> None:
-        r = len(self.rhs)
-        for idx, coef in coeffs:
-            self.rows.append(r)
-            self.cols.append(idx)
-            self.vals.append(coef)
-        self.rhs.append(rhs)
-
-    def build(self):
-        if not self.rhs:
-            return None, None
-        matrix = csr_matrix(
-            (self.vals, (self.rows, self.cols)),
-            shape=(len(self.rhs), self.num_vars),
+    if res.status != 0:
+        raise SolverFailure(f"ordering LP: solver status {res.status}: {res.message}")
+    phi = np.clip(res.x.reshape(num_states, num_pairs), 0.0, None)
+    row_gap = float(np.abs(phi.sum(axis=1) - 1.0).max())
+    order_gap = float((a_ub @ phi.ravel()).max()) - slack
+    if row_gap > FEAS_TOL or order_gap > FEAS_TOL:
+        raise SolverFailure(
+            f"ordering LP: solution misses a row sum by {row_gap:.3g} "
+            f"and an ordering row by {order_gap:.3g}"
         )
-        return matrix, np.array(self.rhs)
-
-
-def dump_lp(problem: LpProblem, path) -> None:
-    """Write a plain-text LP layout for cross-checking with external solvers."""
-    problem.check()
-    lines = []
-    lines.append("maximize" if problem.sense == "max" else "minimize")
-    lines.append("  obj: " + _linear_expr(problem.objective))
-    lines.append("subject to")
-    for k, con in enumerate(problem.constraints):
-        lines.append(f"  c{k}: {_linear_expr(con.coeffs)} {con.relation} {con.rhs:.12g}")
-    lines.append("bounds")
-    bounds = problem.bounds if problem.bounds is not None else [(0, None)] * problem.num_vars
-    for i, (lo, hi) in enumerate(bounds):
-        hi_txt = "+inf" if hi is None else f"{hi:.12g}"
-        lines.append(f"  {lo:.12g} <= x{i} <= {hi_txt}")
-    lines.append("end")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _linear_expr(pairs: Iterable[tuple[int, float]]) -> str:
-    terms = [f"{coef:+.12g} x{idx}" for idx, coef in pairs if coef != 0.0]
-    return " ".join(terms) if terms else "0"
+    return phi, -float(res.fun)

@@ -66,8 +66,10 @@ class KvsInstance:
         total = 0.0
         for s in self.states:
             total += s.mass
-            if s.mass < 0:
-                problems.append(f"state {s.id}: mass {s.mass} is negative")
+            if not (math.isfinite(s.mass) and s.mass >= 0):
+                problems.append(
+                    f"state {s.id}: mass {s.mass} is not a finite non-negative number"
+                )
             if len(s.values) != self.n:
                 problems.append(
                     f"state {s.id}: expected {self.n} values, got {len(s.values)}"
@@ -318,8 +320,10 @@ class ExplicitPrior:
             total += m
             if len(b) != self.n or any(x not in (0, 1) for x in b):
                 problems.append(f"bad bitvector {b}")
-            if m < 0:
-                problems.append(f"state {b}: mass {m} is negative")
+            if not (math.isfinite(m) and m >= 0):
+                problems.append(
+                    f"state {b}: mass {m} is not a finite non-negative number"
+                )
             if b in seen:
                 problems.append(f"duplicate bitvector {b}")
             seen.add(b)
@@ -472,15 +476,13 @@ class PublicScheme:
     """A public signaling scheme, explicit or procedural.
 
     Explicit schemes carry the full randomized table ``phi[state_id][signal]``.
-    Procedural kinds (full_information, no_information, tail_pooling,
-    monte_carlo_lp) are expanded on demand by the code that runs them.
+    Procedural kinds (full_information, no_information, tail_pooling) are
+    expanded on demand by the code that runs them.
     """
 
     kind: str
     table: Mapping[str, Mapping[Signal, float]] | None = None
     pooling: object | None = None  # PoolingScheme for tail_pooling
-    mc_epsilon: float | None = None
-    mc_seed: int | None = None
 
     @staticmethod
     def explicit(table: Mapping[str, Mapping[Signal, float]]) -> "PublicScheme":
@@ -497,10 +499,6 @@ class PublicScheme:
     @staticmethod
     def tail_pooling(pooling) -> "PublicScheme":
         return PublicScheme("tail_pooling", pooling=pooling)
-
-    @staticmethod
-    def monte_carlo_lp(epsilon: float, seed: int) -> "PublicScheme":
-        return PublicScheme("monte_carlo_lp", mc_epsilon=epsilon, mc_seed=seed)
 
     def validate(self) -> list[str]:
         if self.kind != "explicit":

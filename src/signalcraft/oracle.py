@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
+from .lp import SolverFailure
 from .model import (
     BvsInstance,
     ExplicitPrior,
@@ -90,7 +91,7 @@ def brute_force_public_optimal(instance: KvsInstance) -> tuple[PublicScheme, flo
         method="highs",
     )
     if res.status != 0:
-        raise RuntimeError(f"brute-force LP failed: {res.message}")
+        raise SolverFailure(f"brute-force LP failed: {res.message}")
     phi = np.clip(res.x.reshape(num_pairs, num_states).T, 0.0, None)
     alpha = lam @ phi
     keep = [p for p in range(num_pairs) if alpha[p] > 1e-12]

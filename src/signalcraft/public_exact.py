@@ -1,119 +1,51 @@
 """Exact optimal public scheme in the known-valuation setting.
 
-A revelation-style argument shows an optimal public scheme needs at most
-n(n-1) signals: one signal pair(i, j) per ordered bidder pair, meaning bidder
-i ends up with the top posterior value and j with the second.  The revenue of
-such a scheme is linear in the table phi(state, signal), so the optimum is a
-linear program whose ordering constraints pin i weakly on top and j weakly
-second for every used signal.
+The optimum is the ordering LP of ``lp.solve_ordering_lp`` on the prior masses
+with no slack: one signal pair(i, j) per ordered bidder pair, with bidder i
+weakly on top and j weakly second in posterior expectation for every used
+signal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lp import LpProblem, solve_lp
+from .lp import signal_space, solve_ordering_lp
 from .model import KvsInstance, PublicScheme, Signal, ValidationError
 
 ALPHA_DROP = 1e-12  # signals with this little probability carry no posterior
 
 
-def signal_space(n: int) -> tuple[tuple[int, int], ...]:
-    """All ordered bidder pairs (i, j), i != j; size n(n-1)."""
-    if n < 2:
-        raise ValidationError(f"need at least 2 bidders, got {n}")
-    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
-
-
-def var_index(state_idx: int, pair_idx: int, num_pairs: int) -> int:
-    """Column of phi(state, pair) in the LP; state-major layout."""
-    return state_idx * num_pairs + pair_idx
-
-
-def build_lp1(instance: KvsInstance) -> LpProblem:
-    """The optimal-public-scheme LP.
-
-    Variables phi(state, pair(i,j)) in [0,1].  Objective: expected second
-    value sum lambda * phi * v_j.  For each signal, bidder i beats j and j
-    beats every other k in posterior expectation; each state's row sums to 1.
-    """
-    problems = instance.validate()
-    if problems:
-        raise ValidationError("; ".join(problems))
-    pairs = signal_space(instance.n)
-    num_pairs = len(pairs)
-    num_states = len(instance.states)
-    masses = instance.masses
-    values = instance.value_matrix
-
-    lp = LpProblem(num_vars=num_states * num_pairs, objective=[], sense="max")
-    lp.bounds = [(0.0, 1.0)] * lp.num_vars
-
-    obj = []
-    for s in range(num_states):
-        for p, (i, j) in enumerate(pairs):
-            obj.append((var_index(s, p, num_pairs), masses[s] * values[s, j]))
-    lp.objective = obj
-
-    for p, (i, j) in enumerate(pairs):
-        cols = [var_index(s, p, num_pairs) for s in range(num_states)]
-        lp.add_constraint(
-            [(c, masses[s] * (values[s, i] - values[s, j])) for s, c in enumerate(cols)],
-            ">=",
-            0.0,
-        )
-        for k in range(instance.n):
-            if k in (i, j):
-                continue
-            lp.add_constraint(
-                [
-                    (c, masses[s] * (values[s, j] - values[s, k]))
-                    for s, c in enumerate(cols)
-                ],
-                ">=",
-                0.0,
-            )
-    for s in range(num_states):
-        lp.add_constraint(
-            [(var_index(s, p, num_pairs), 1.0) for p in range(num_pairs)], "=", 1.0
-        )
-    return lp
-
-
-def scheme_from_solution(
-    instance: KvsInstance, values: np.ndarray
-) -> PublicScheme:
-    """Turn an LP solution vector into an explicit scheme.
+def scheme_from_solution(instance: KvsInstance, phi: np.ndarray) -> PublicScheme:
+    """Turn an LP solution table (states x pairs) into an explicit scheme.
 
     Signals whose total probability is (numerically) zero are dropped; the
     freed mass is renormalized back into each state's row.  Signal labels keep
     the (i, j) identity of the LP column even if a posterior tie would permit
-    re-sorting.
+    re-sorting.  A zero-mass state shapes no posterior, so if its whole row
+    fell on dropped signals it is sent the first kept signal instead.
     """
     pairs = signal_space(instance.n)
-    num_pairs = len(pairs)
     masses = instance.masses
-    phi = np.clip(np.asarray(values).reshape(len(instance.states), num_pairs), 0.0, None)
-
-    alpha = masses @ phi
-    keep = np.flatnonzero(alpha > ALPHA_DROP)
+    keep = np.flatnonzero(masses @ phi > ALPHA_DROP)
     table = {}
     for s, state in enumerate(instance.states):
-        row_total = phi[s, keep].sum()
-        if row_total <= 0:
-            raise ValidationError(
-                f"state {state.id}: all probability fell on dropped signals"
-            )
-        table[state.id] = {
-            Signal.pair(*pairs[p]): float(phi[s, p] / row_total) for p in keep
-        }
+        row = phi[s, keep]
+        if row.sum() <= 0:
+            if masses[s] > 0:
+                raise ValidationError(
+                    f"state {state.id}: all probability fell on dropped signals"
+                )
+            row = np.eye(len(keep))[0]
+        row = row / row.sum()
+        table[state.id] = {Signal.pair(*pairs[p]): float(q) for p, q in zip(keep, row)}
     return PublicScheme.explicit(table)
 
 
 def solve_optimal_public(instance: KvsInstance) -> tuple[PublicScheme, float]:
     """Solve the exact LP and return (explicit scheme, optimal revenue)."""
-    lp = build_lp1(instance)
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"optimal-public LP came back {sol.status}")
-    return scheme_from_solution(instance, sol.values), float(sol.objective_value)
+    problems = instance.validate()
+    if problems:
+        raise ValidationError("; ".join(problems))
+    phi, revenue = solve_ordering_lp(instance.value_matrix, instance.masses, 0.0)
+    return scheme_from_solution(instance, phi), revenue

@@ -1,4 +1,4 @@
-"""Sampled-LP public signaling with running time independent of |Theta|.
+"""Sampled-LP public signaling whose LP does not grow with |Theta|.
 
 Given a realized state, the signaler plants it in a uniformly random slot of
 K prior samples, solves the exact-public LP on the empirical distribution
@@ -7,27 +7,26 @@ drawn from the solved row of the planted state.  With K = (8 n^4 / eps^2) *
 ln(4 n^3 / eps) the induced scheme loses at most eps of the optimal revenue
 in expectation.
 
-Identical sample states are collapsed into one weighted LP row: the LP is
-symmetric across equal-valued rows, so averaging their solutions changes
-neither feasibility nor the objective, and the collapsed solution row is an
-optimal slot row for the planted state.
+Identical sample states are collapsed into one weighted LP row, and states
+no slot hit are left out, so the LP has at most min(K, |Theta|) rows of
+phi.  The LP is symmetric across equal-valued rows, so averaging their
+solutions changes neither feasibility nor the objective, and the collapsed
+solution row is an optimal slot row for the planted state.  What still
+grows with |Theta| in one call is the prior mass vector, the multinomial
+draw of the K - 1 prior samples, the lookup of the state id, and the
+length-|Theta| weight vector.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .auction import max2
-from .lp import LpProblem, SolverFailure
+from .lp import signal_space, solve_ordering_lp
 from .model import KvsInstance, Signal, ValidationError
-from .public_exact import signal_space
 
 
 def sample_count(n: int, eps: float) -> int:
@@ -58,136 +57,28 @@ class McConfig:
         return self.k_override is None
 
 
-def build_lp2(samples: Sequence[Sequence[float]], n: int, eps: float) -> LpProblem:
-    """Relaxed empirical LP over a multiset of sampled states.
-
-    Same structure as the exact LP but on the empirical distribution (uniform
-    over the samples, identical states merged), with the two ordering
-    constraint groups slackened by eps/(2n^2) on the right-hand side.
-    """
-    if len(samples) == 0:
-        raise ValidationError("need at least one sample")
-    pairs = signal_space(n)
-    num_pairs = len(pairs)
-    slack = eps / (2.0 * n * n)
-
-    profiles: list[tuple[float, ...]] = []
-    counts: dict[tuple[float, ...], int] = {}
-    for s in samples:
-        key = tuple(float(x) for x in s)
-        if len(key) != n:
-            raise ValidationError(f"sample {key} does not have {n} values")
-        if key not in counts:
-            profiles.append(key)
-        counts[key] = counts.get(key, 0) + 1
-    weights = np.array([counts[p] for p in profiles], dtype=float) / len(samples)
-    values = np.array(profiles)
-    num_states = len(profiles)
-
-    lp = LpProblem(num_vars=num_states * num_pairs, objective=[], sense="max")
-    lp.bounds = [(0.0, 1.0)] * lp.num_vars
-    col = lambda s, p: s * num_pairs + p
-    lp.objective = [
-        (col(s, p), weights[s] * values[s, j])
-        for s in range(num_states)
-        for p, (i, j) in enumerate(pairs)
-    ]
-    for p, (i, j) in enumerate(pairs):
-        lp.add_constraint(
-            [
-                (col(s, p), weights[s] * (values[s, i] - values[s, j]))
-                for s in range(num_states)
-            ],
-            ">=",
-            -slack,
-        )
-        for k in range(n):
-            if k in (i, j):
-                continue
-            lp.add_constraint(
-                [
-                    (col(s, p), weights[s] * (values[s, j] - values[s, k]))
-                    for s in range(num_states)
-                ],
-                ">=",
-                -slack,
-            )
-    for s in range(num_states):
-        lp.add_constraint([(col(s, p), 1.0) for p in range(num_pairs)], "=", 1.0)
-    return lp
-
-
-class _EmpiricalLpTemplate:
-    """Reusable dense layout of the relaxed LP for one instance.
-
-    Only the empirical weights change between signaling calls, so the row
-    pattern, equality block, and bounds are computed once; each solve fills
-    coefficient values in fresh arrays.
-    """
-
-    def __init__(self, instance: KvsInstance, eps: float):
-        self.instance = instance
-        self.n = instance.n
-        self.pairs = signal_space(self.n)
-        self.num_pairs = len(self.pairs)
-        self.values = instance.value_matrix
-        self.masses = instance.masses
-        self.num_states = len(instance.states)
-        self.slack = eps / (2.0 * self.n * self.n)
-        self.num_vars = self.num_states * self.num_pairs
-
-        rows = []
-        for p, (i, j) in enumerate(self.pairs):
-            rows.append((p, i, j))
-            for k in range(self.n):
-                if k not in (i, j):
-                    rows.append((p, j, k))
-        # per-row state profile of (v_a - v_b), scaled by weights at solve time
-        self.row_pair = np.array([p for p, _, _ in rows])
-        self.row_diffs = np.array([self.values[:, a] - self.values[:, b] for _, a, b in rows])
-        self.num_ineq = len(rows)
-
-        self.a_eq = np.zeros((self.num_states, self.num_vars))
-        for s in range(self.num_states):
-            self.a_eq[s, s * self.num_pairs : (s + 1) * self.num_pairs] = 1.0
-        self.b_eq = np.ones(self.num_states)
-        self.bounds = [(0.0, 1.0)] * self.num_vars
-
-    def solve(self, weights: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve the relaxed LP at the given empirical weights; returns the
-        phi matrix (states x pairs) and the optimal objective."""
-        w = np.asarray(weights, dtype=float)
-        c = -(w[:, None] * self.values[:, [j for _, j in self.pairs]]).ravel()
-        a_ub = np.zeros((self.num_ineq, self.num_vars))
-        for r in range(self.num_ineq):
-            p = self.row_pair[r]
-            a_ub[r, p :: self.num_pairs] = -w * self.row_diffs[r]
-        b_ub = np.full(self.num_ineq, self.slack)
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=self.bounds,
-            method="highs",
-        )
-        if res.status != 0:
-            raise SolverFailure(f"empirical LP solve failed: {res.message}")
-        phi = np.clip(res.x.reshape(self.num_states, self.num_pairs), 0.0, None)
-        return phi, -float(res.fun)
-
-
 def _empirical_weights(
-    instance: KvsInstance, state_idx: int, k: int, rng: np.random.Generator
+    masses: np.ndarray, state_idx: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """K slots: the realized state in one, K-1 fresh prior samples in the rest."""
-    counts = rng.multinomial(k - 1, instance.masses) if k > 1 else np.zeros(
-        len(instance.states), dtype=np.int64
+    counts = rng.multinomial(k - 1, masses) if k > 1 else np.zeros(
+        len(masses), dtype=np.int64
     )
     counts = counts.astype(np.float64)
     counts[state_idx] += 1.0
     return counts / k
+
+
+def _slack(eps: float, n: int) -> float:
+    return eps / (2.0 * n * n)
+
+
+def _draw_pair(
+    phi: np.ndarray, support: np.ndarray, state_idx: int, rng: np.random.Generator
+) -> int:
+    """Pair index drawn from the solved row of the realized state."""
+    row = phi[np.searchsorted(support, state_idx)]
+    return int(rng.choice(row.size, p=row / row.sum()))
 
 
 @dataclass
@@ -204,14 +95,15 @@ def mc_signal(
     state_id: str,
     config: McConfig,
     rng: np.random.Generator | None = None,
-    template: _EmpiricalLpTemplate | None = None,
     detail: bool = False,
 ):
     """One signaling invocation for a realized state.
 
-    Draws the empirical distribution, solves the relaxed LP fresh (no caching
-    across calls: the guarantee is per invocation), and samples the signal
-    from the solved row of the realized state.
+    Draws the empirical distribution, solves the relaxed LP fresh on the
+    states it puts weight on (no caching across calls: the guarantee is per
+    invocation), and samples the signal from the solved row of the realized
+    state.  With ``detail`` the returned phi has one row per instance state,
+    zero off the support.
     """
     state_idx = next(
         (i for i, s in enumerate(instance.states) if s.id == state_id), None
@@ -222,19 +114,20 @@ def mc_signal(
         raise ValidationError(f"state {state_id!r} has zero prior mass")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if template is None:
-        template = _EmpiricalLpTemplate(instance, config.epsilon)
 
     k = config.k_for(instance.n)
-    weights = _empirical_weights(instance, state_idx, k, rng)
-    phi, objective = template.solve(weights)
-    row = phi[state_idx]
-    total = row.sum()
-    row = np.full_like(row, 1.0 / row.size) if total <= 0 else row / total
-    pair_idx = int(rng.choice(row.size, p=row))
-    signal = Signal.pair(*template.pairs[pair_idx])
+    weights = _empirical_weights(instance.masses, state_idx, k, rng)
+    support = np.flatnonzero(weights)
+    values = np.array([instance.states[s].values for s in support], dtype=float)
+    phi, objective = solve_ordering_lp(
+        values, weights[support], _slack(config.epsilon, instance.n)
+    )
+    pair_idx = _draw_pair(phi, support, state_idx, rng)
+    signal = Signal.pair(*signal_space(instance.n)[pair_idx])
     if detail:
-        return SignalDetails(signal, weights, phi, objective, k)
+        full = np.zeros((len(weights), phi.shape[1]))
+        full[support] = phi
+        return SignalDetails(signal, weights, full, objective, k)
     return signal
 
 
@@ -249,14 +142,6 @@ class McEvaluation:
     joint: np.ndarray = field(repr=False, default=None)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SIGNALCRAFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_mc_scheme(
     instance: KvsInstance, config: McConfig, trials: int
 ) -> McEvaluation:
@@ -267,41 +152,30 @@ def evaluate_mc_scheme(
     the empirical joint of (state, signal): every signal's posterior value
     vector is estimated from the trials that emitted it, and the estimate is
     the mean over trials of the second-highest posterior value at the
-    emitted signal.  Trials shard across SIGNALCRAFT_THREADS workers with
-    per-trial spawned seeds, so results do not depend on the thread count.
+    emitted signal.  Each trial draws from its own spawned seed.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    template = _EmpiricalLpTemplate(instance, config.epsilon)
     masses = instance.masses
+    values = instance.value_matrix
     num_states = len(instance.states)
-    num_pairs = template.num_pairs
+    num_pairs = len(signal_space(instance.n))
+    slack = _slack(config.epsilon, instance.n)
     k = config.k_for(instance.n)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(trials)
-
-    def run_trial(t: int) -> tuple[int, int]:
-        rng = np.random.default_rng(seeds[t])
+    outcomes = []
+    for seed in np.random.SeedSequence(config.seed).spawn(trials):
+        rng = np.random.default_rng(seed)
         s_idx = int(rng.choice(num_states, p=masses))
-        weights = _empirical_weights(instance, s_idx, k, rng)
-        phi, _ = template.solve(weights)
-        row = phi[s_idx]
-        total = row.sum()
-        row = np.full_like(row, 1.0 / row.size) if total <= 0 else row / total
-        return s_idx, int(rng.choice(num_pairs, p=row))
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_trial, range(trials)))
-    else:
-        outcomes = [run_trial(t) for t in range(trials)]
+        weights = _empirical_weights(masses, s_idx, k, rng)
+        support = np.flatnonzero(weights)
+        phi, _ = solve_ordering_lp(values[support], weights[support], slack)
+        outcomes.append((s_idx, _draw_pair(phi, support, s_idx, rng)))
 
     joint = np.zeros((num_states, num_pairs))
     for s_idx, p_idx in outcomes:
         joint[s_idx, p_idx] += 1.0
 
-    values = instance.value_matrix
     sig_revenue = np.zeros(num_pairs)
     for p in range(num_pairs):
         col = joint[:, p]

@@ -199,6 +199,6 @@ def test_bvs_std_error_scaling():
 def test_bvs_rejects_unsupported_scheme():
     inst = make_theorem2_instance(4, 0.1)
     with pytest.raises(ValidationError):
-        bvs_public_revenue_mc(inst, PublicScheme.monte_carlo_lp(0.1, 0), 10, seed=0)
+        bvs_public_revenue_mc(inst, PublicScheme.explicit({}), 10, seed=0)
     with pytest.raises(ValidationError):
         bvs_public_revenue_mc(inst, PublicScheme.full_information(), 0, seed=0)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from signalcraft import cli
 from signalcraft.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -66,6 +67,23 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"kind": "kvs", "n": 2, "states": [], "bogus": 1}))
     assert run("solve-public-exact", "--instance", str(wrong)) == EXIT_VALIDATION
+
+    nan_mass = tmp_path / "nan_mass.json"
+    nan_mass.write_text(json.dumps({"kind": "kvs", "n": 2, "states": [
+        {"id": "a", "mass": float("nan"), "values": [0.1, 0.2]},
+        {"id": "b", "mass": 1.0, "values": [0.9, 0.3]},
+    ]}))
+    assert run("solve-public-exact", "--instance", str(nan_mass)) == EXIT_VALIDATION
+    assert "not a finite" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_solver_failure(tmp_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("a bug, not a solver failure")
+
+    monkeypatch.setattr(cli, "cmd_gen_instance", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        run("gen-instance", "example3", "--out", str(tmp_path / "x.json"))
 
 
 def test_unknown_command_exits_64(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from signalcraft.model import (
     BvsInstance,
+    ExplicitPrior,
     IidPrior,
     KvsInstance,
     KvsState,
@@ -38,6 +39,16 @@ def test_validate_mass_sum():
     )
     report = validate(inst)
     assert any("sum" in msg for msg in report)
+
+    # NaN passes both "mass < 0" and "|total - 1| > tol" unnoticed
+    nan = float("nan")
+    inst = KvsInstance(
+        n=2,
+        states=(KvsState("a", nan, (0.1, 0.2)), KvsState("b", 1.0, (0.9, 0.3))),
+    )
+    assert any("not a finite" in msg for msg in validate(inst))
+    prior = ExplicitPrior(n=2, entries=(((0, 1), nan), ((1, 0), 1.0)))
+    assert any("not a finite" in msg for msg in prior.validate())
 
 
 def test_validate_mean_ordering():

@@ -10,11 +10,7 @@ from signalcraft.model import (
     make_example1,
     make_example3,
 )
-from signalcraft.public_exact import (
-    build_lp1,
-    signal_space,
-    solve_optimal_public,
-)
+from signalcraft.public_exact import signal_space, solve_optimal_public
 
 
 def test_signal_space():
@@ -24,14 +20,6 @@ def test_signal_space():
     assert len(set(pairs)) == 6
     with pytest.raises(ValidationError):
         signal_space(1)
-
-
-def test_build_lp1_shape():
-    lp = build_lp1(make_example3(0.1))
-    assert lp.num_vars == 2 * 6  # states x ordered pairs
-    # 6 top-vs-second rows, 6 second-vs-rest rows (one other bidder), 2 row sums
-    assert len(lp.constraints) == 6 + 6 + 2
-    assert all(b == (0.0, 1.0) for b in lp.bounds)
 
 
 def test_single_state_collapses_to_max2():

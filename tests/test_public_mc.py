@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from signalcraft.lp import solve_lp
 from signalcraft.model import KvsInstance, KvsState, ValidationError, make_example3
 from signalcraft.oracle import brute_force_public_optimal
-from signalcraft.public_exact import build_lp1, signal_space
-from signalcraft.public_mc import (
-    McConfig,
-    _EmpiricalLpTemplate,
-    build_lp2,
-    evaluate_mc_scheme,
-    mc_signal,
-    sample_count,
-)
+from signalcraft.public_exact import signal_space
+from signalcraft.public_mc import McConfig, evaluate_mc_scheme, mc_signal, sample_count
 
 
 def test_sample_count_frozen_values():
@@ -29,66 +21,6 @@ def test_sample_count_rejects_bad_eps():
         sample_count(3, -0.1)
     with pytest.raises(ValidationError):
         sample_count(1, 0.5)
-
-
-def test_build_lp2_single_state():
-    values = (0.9, 0.5, 0.1)
-    # the slack lets out-of-order pairs carry mass s / gap each, so the
-    # optimum sits just above max2 and collapses to it as eps shrinks
-    lp = build_lp2([values] * 20, n=3, eps=0.1)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    slack = 0.1 / 18.0
-    bonus = slack / 0.4 * 0.4 + slack / 0.8 * 0.4  # pairs (1,0) and (2,0)
-    assert sol.objective_value == pytest.approx(0.5 + bonus, abs=1e-7)
-
-    tight = solve_lp(build_lp2([values] * 20, n=3, eps=1e-6))
-    assert tight.objective_value == pytest.approx(0.5, abs=1e-5)
-
-
-def test_build_lp2_vacuous_slack_picks_top_values():
-    # slack eps/(2 n^2) = 1 dwarfs values in [0, 1]: ordering constraints die
-    # and the optimum assigns each state the signal whose j is its argmax
-    samples = [(0.9, 0.5, 0.1), (0.2, 0.8, 0.3), (0.2, 0.8, 0.3)]
-    lp = build_lp2(samples, n=3, eps=18.0)
-    sol = solve_lp(lp)
-    expected = (0.9 + 0.8 + 0.8) / 3.0
-    assert sol.objective_value == pytest.approx(expected, abs=1e-6)
-
-
-def test_build_lp2_exact_proportions_close_to_exact_lp():
-    inst = make_example3(0.1)
-    eps = 0.2
-    samples = [tuple(inst.states[0].values)] * 9 + [tuple(inst.states[1].values)] * 1
-    lp2 = solve_lp(build_lp2(samples, n=3, eps=eps))
-    lp1 = solve_lp(build_lp1(inst))
-    assert lp2.objective_value >= lp1.objective_value - 1e-9  # relaxation
-    assert lp2.objective_value <= lp1.objective_value + eps / 2.0 * 6
-
-
-def test_build_lp2_rejects_empty():
-    with pytest.raises(ValidationError):
-        build_lp2([], n=3, eps=0.1)
-
-
-def test_template_agrees_with_contract_lp():
-    rng = np.random.default_rng(5)
-    inst = KvsInstance(
-        n=3,
-        states=tuple(
-            KvsState(f"s{i}", 0.25, tuple(rng.random(3))) for i in range(4)
-        ),
-    )
-    template = _EmpiricalLpTemplate(inst, eps=0.2)
-    for _ in range(5):
-        counts = rng.multinomial(40, inst.masses)
-        weights = counts / counts.sum()
-        _, objective = template.solve(weights)
-        samples = []
-        for s, c in enumerate(counts):
-            samples.extend([tuple(inst.states[s].values)] * int(c))
-        sol = solve_lp(build_lp2(samples, n=3, eps=0.2))
-        assert objective == pytest.approx(sol.objective_value, abs=1e-7)
 
 
 def test_mc_signal_single_state_prior():
@@ -200,13 +132,3 @@ def test_evaluate_example3_with_formula_sample_count():
     _, opt = brute_force_public_optimal(inst)
     assert result.estimate >= opt - 0.2 - 3 * result.std_error
 
-
-def test_evaluate_thread_count_invariance(monkeypatch):
-    inst = make_example3(0.1)
-    config = McConfig(epsilon=0.3, seed=8, k_override=300)
-    monkeypatch.setenv("SIGNALCRAFT_THREADS", "1")
-    seq = evaluate_mc_scheme(inst, config, trials=40)
-    monkeypatch.setenv("SIGNALCRAFT_THREADS", "4")
-    par = evaluate_mc_scheme(inst, config, trials=40)
-    assert seq.estimate == par.estimate
-    assert seq.std_error == par.std_error
