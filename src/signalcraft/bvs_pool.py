@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import BvsInstance, PublicScheme, Signal, ValidationError, ValueDistribution
 
@@ -259,6 +258,9 @@ def _closed_form_ak(dist: ValueDistribution, k: int) -> tuple[float, float]:
 
 
 def _quadrature_ak(dist: ValueDistribution, k: int) -> tuple[float, float]:
+    # imported here because it is slow to load and only quadrature needs it
+    from scipy.integrate import quad
+
     hi = dist.upper_cutoff()
     if hi <= 0.0:
         return 0.0, 0.0

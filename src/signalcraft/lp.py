@@ -9,13 +9,16 @@ solves it on the prior masses; the sampled signaler solves it on an empirical
 distribution with its ordering constraints slackened.  Both call
 ``solve_ordering_lp``, which hands the LP to the HiGHS backend shipped with
 scipy and checks the solution before returning it.
+
+scipy is imported on first use, not with this module, so that commands which
+solve no LP start without it.  ``linprog`` below is the one module-level name
+through which every solve here passes; wrap or replace it to observe or stub
+the backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .model import ValidationError
 
@@ -25,6 +28,13 @@ FEAS_TOL = 1e-7
 class SolverFailure(RuntimeError):
     """The backend returned no optimal solution, or one that fails its
     residual check."""
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def signal_space(n: int) -> tuple[tuple[int, int], ...]:
@@ -47,6 +57,8 @@ def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]
     order, clipped at 0.  Raises SolverFailure unless the solve is optimal and
     phi meets every row sum and ordering row within FEAS_TOL.
     """
+    from scipy.sparse import csr_matrix
+
     values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     num_states, n = values.shape

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,6 +32,11 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # Known-valuation instances
 # ---------------------------------------------------------------------------
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -83,20 +89,29 @@ class KvsInstance:
             problems.append(f"masses sum to {total}")
         return problems
 
-    @property
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([s.mass for s in self.states])
+        """Prior masses in state order; read-only, built once per instance."""
+        return _frozen(np.array([s.mass for s in self.states]))
 
-    @property
+    @cached_property
     def value_matrix(self) -> np.ndarray:
-        """States-by-bidders value matrix."""
-        return np.array([s.values for s in self.states])
+        """States-by-bidders value matrix; read-only, built once per instance."""
+        return _frozen(np.array([s.values for s in self.states]))
+
+    @cached_property
+    def state_index(self) -> dict[str, int]:
+        """State id -> position in ``states`` (the first one, if ids repeat)."""
+        index: dict[str, int] = {}
+        for k, s in enumerate(self.states):
+            index.setdefault(s.id, k)
+        return index
 
     def state_by_id(self, state_id: str) -> KvsState:
-        for s in self.states:
-            if s.id == state_id:
-                return s
-        raise KeyError(f"no state with id {state_id!r}")
+        try:
+            return self.states[self.state_index[state_id]]
+        except KeyError:
+            raise KeyError(f"no state with id {state_id!r}") from None
 
     def sample_state(self, rng: np.random.Generator) -> KvsState:
         idx = rng.choice(len(self.states), p=self.masses / self.masses.sum())

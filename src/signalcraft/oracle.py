@@ -13,12 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom
 
-from .lp import SolverFailure
+from .lp import SolverFailure, linprog
 from .model import (
     BvsInstance,
     ExplicitPrior,
@@ -40,6 +36,8 @@ def brute_force_public_optimal(instance: KvsInstance) -> tuple[PublicScheme, flo
     out pair-major and the constraint matrices are built as dense arrays fed
     straight to the backend.
     """
+    from scipy.sparse import csr_matrix
+
     problems = instance.validate()
     if problems:
         raise ValidationError("; ".join(problems))
@@ -98,6 +96,11 @@ def brute_force_public_optimal(instance: KvsInstance) -> tuple[PublicScheme, flo
     table = {}
     for s, state in enumerate(instance.states):
         total = sum(phi[s, p] for p in keep)
+        if total <= 0:
+            # only a state of (numerically) zero mass can put its whole row
+            # on dropped signals; it shapes no posterior, so it gets the
+            # first kept signal
+            phi[s, keep[0]] = total = 1.0
         table[state.id] = {
             Signal.pair(*pairs[p]): float(phi[s, p] / total) for p in keep
         }
@@ -240,6 +243,29 @@ def _block_welfare_single(instance: BvsInstance, block) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _binom_log_pmf(m: int, p: float, i: np.ndarray) -> np.ndarray:
+    """log P[X = i] for X ~ Binomial(m, p), 0 <= p < 1, at integers i in 0..m."""
+    if p == 0.0:
+        # X = 0 surely; forming i * log(p) would give 0 * -inf = NaN at i = 0
+        return np.where(i == 0, 0.0, -np.inf)
+    log_fact = np.array([math.lgamma(x + 1.0) for x in range(m + 1)])
+    return (
+        log_fact[m]
+        - log_fact[i]
+        - log_fact[m - i]
+        + i * math.log(p)
+        + (m - i) * math.log1p(-p)
+    )
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) without overflow; -inf when a is empty."""
+    top = a.max(initial=-np.inf)
+    if top == -np.inf:
+        return -math.inf
+    return float(top + math.log(np.exp(a - top).sum()))
+
+
 def theorem2_fullinfo_revenue(n: int, eps: float) -> tuple[float, float]:
     """Full-information revenue of the symmetric separation instance.
 
@@ -253,7 +279,7 @@ def theorem2_fullinfo_revenue(n: int, eps: float) -> tuple[float, float]:
         raise ValidationError(f"eps must lie in [0, 1), got {eps}")
     p = 1.0 / math.sqrt(n)
     i = np.arange(0, n + 1)
-    pmf = binom.pmf(i, n, eps)
+    pmf = np.exp(_binom_log_pmf(n, eps, i))
     q = 1.0 - p
     rev_i = 1.0 - q**i - i * p * np.where(i >= 1, q ** np.maximum(i - 1, 0), 0.0)
     exact = float(pmf @ rev_i)
@@ -270,16 +296,10 @@ def binomial_cond_expectation(m: int, p: float, k: int) -> float:
     if not (0 <= k <= m):
         raise ValidationError(f"k must lie in [0, {m}], got {k}")
     i = np.arange(k, m + 1)
-    log_pmf = (
-        gammaln(m + 1)
-        - gammaln(i + 1)
-        - gammaln(m - i + 1)
-        + i * math.log(p)
-        + (m - i) * math.log1p(-p)
-    )
-    log_total = logsumexp(log_pmf)
+    log_pmf = _binom_log_pmf(m, p, i)
+    log_total = _logsumexp(log_pmf)
     if log_total < math.log(1e-300):
         raise ValidationError("conditioning event has probability below 1e-300")
     positive = i > 0
-    log_num = logsumexp(log_pmf[positive] + np.log(i[positive]))
+    log_num = _logsumexp(log_pmf[positive] + np.log(i[positive]))
     return float(math.exp(log_num - log_total))

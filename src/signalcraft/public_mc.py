@@ -11,10 +11,10 @@ Identical sample states are collapsed into one weighted LP row, and states
 no slot hit are left out, so the LP has at most min(K, |Theta|) rows of
 phi.  The LP is symmetric across equal-valued rows, so averaging their
 solutions changes neither feasibility nor the objective, and the collapsed
-solution row is an optimal slot row for the planted state.  What still
-grows with |Theta| in one call is the prior mass vector, the multinomial
-draw of the K - 1 prior samples, the lookup of the state id, and the
-length-|Theta| weight vector.
+solution row is an optimal slot row for the planted state.  The prior mass
+vector, the value matrix and the state-id index are built once per instance;
+what still grows with |Theta| in one call is the multinomial draw of the
+K - 1 prior samples and the length-|Theta| weight vector.
 """
 
 from __future__ import annotations
@@ -105,9 +105,7 @@ def mc_signal(
     state.  With ``detail`` the returned phi has one row per instance state,
     zero off the support.
     """
-    state_idx = next(
-        (i for i, s in enumerate(instance.states) if s.id == state_id), None
-    )
+    state_idx = instance.state_index.get(state_id)
     if state_idx is None:
         raise ValidationError(f"no state with id {state_id!r}")
     if instance.states[state_idx].mass <= 0:
@@ -118,9 +116,10 @@ def mc_signal(
     k = config.k_for(instance.n)
     weights = _empirical_weights(instance.masses, state_idx, k, rng)
     support = np.flatnonzero(weights)
-    values = np.array([instance.states[s].values for s in support], dtype=float)
     phi, objective = solve_ordering_lp(
-        values, weights[support], _slack(config.epsilon, instance.n)
+        instance.value_matrix[support],
+        weights[support],
+        _slack(config.epsilon, instance.n),
     )
     pair_idx = _draw_pair(phi, support, state_idx, rng)
     signal = Signal.pair(*signal_space(instance.n)[pair_idx])

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +212,33 @@ def test_record_replay_is_byte_identical(tmp_path):
         return (tmp_path / (base + ".csv")).read_bytes()
 
     assert run_private("p1") == run_private("p2")
+
+
+# Run in a fresh interpreter, since this test process has scipy loaded already.
+IMPORT_GUARD = """
+import json
+import sys
+import signalcraft.cli as cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+ex2 = sys.argv[1]
+assert cli.main(["gen-instance", "example2", "--n", "4", "--out", ex2]) == 0
+assert cli.main(["oracle", "theorem2", "--n", "16", "--epsilon", "0.3"]) == 0
+assert cli.main(["oracle", "binom-tail", "--m", "10000", "--p", "0.1", "--k", "1100"]) == 0
+assert cli.main(["bvs-pool", "--instance", ex2, "--state", "0100", "--seed", "3"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_without_an_lp_load_no_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "ex2.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    after_import, after_commands = json.loads(lines[0]), json.loads(lines[-1])
+    assert after_import == []
+    for heavy in ("scipy.stats", "scipy.special", "scipy.integrate"):
+        assert heavy not in after_commands

@@ -59,7 +59,7 @@ def test_unbounded(monkeypatch):
 def test_reject_non_finite():
     with pytest.raises(ValueError):
         solve_example3(weights=[0.9, math.nan])
-    values = EX3.value_matrix
+    values = EX3.value_matrix.copy()  # the instance's own matrix is read-only
     values[0, 0] = math.inf
     with pytest.raises(ValueError):
         solve_ordering_lp(values, EX3.masses, 0.0)
@@ -138,12 +138,16 @@ def instances(draw):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, deadline=None)
 @given(instances())
 def test_exact_objective_matches_oracle(inst):
     _, objective = solve_ordering_lp(inst.value_matrix, inst.masses, 0.0)
-    _, oracle_value = brute_force_public_optimal(inst)
+    scheme, oracle_value = brute_force_public_optimal(inst)
     assert objective == pytest.approx(oracle_value, abs=1e-7)
+    for row in scheme.table.values():
+        assert all(math.isfinite(q) for q in row.values())
+        assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)

@@ -51,6 +51,19 @@ def test_validate_mass_sum():
     assert any("not a finite" in msg for msg in prior.validate())
 
 
+def test_kvs_arrays_are_cached_and_read_only():
+    inst = make_example3(0.1)
+    assert inst.masses is inst.masses
+    assert inst.value_matrix is inst.value_matrix
+    with pytest.raises(ValueError):
+        inst.masses[0] = 0.5
+    with pytest.raises(ValueError):
+        inst.value_matrix[0, 0] = 0.5
+    assert inst.state_by_id("B") is inst.states[1]
+    with pytest.raises(KeyError):
+        inst.state_by_id("C")
+
+
 def test_validate_mean_ordering():
     inst = BvsInstance(
         n=3,

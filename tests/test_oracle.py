@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from signalcraft.auction import kvs_public_revenue, max2
 from signalcraft.model import (
@@ -32,6 +35,20 @@ def test_brute_force_example3():
     assert kvs_public_revenue(make_example3(0.1), scheme) == pytest.approx(
         revenue, abs=1e-6
     )
+
+
+def test_brute_force_zero_mass_state_gets_a_valid_row():
+    # the optimal LP vertex puts the zero-mass state's whole row on signals
+    # nobody else uses, so all of them are dropped
+    inst = KvsInstance(
+        n=3,
+        states=(KvsState("s0", 1.0, (0.5, 0.5, 1.0)), KvsState("s1", 0.0, (0.25, 1.0, 0.5))),
+    )
+    scheme, revenue = brute_force_public_optimal(inst)
+    for row in scheme.table.values():
+        assert all(math.isfinite(q) and q >= 0 for q in row.values())
+        assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+    assert revenue == pytest.approx(0.5, abs=1e-9)
 
 
 def test_brute_force_example1():
@@ -159,8 +176,13 @@ def test_theorem2_revenue_bounds():
         theorem2_fullinfo_revenue(2, 0.1)
 
 
-def test_theorem2_exact_by_direct_enumeration():
-    n, eps = 6, 0.25
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(st.integers(4, 64), st.floats(0.0, 1.0, exclude_max=True))
+@example(6, 0.25)
+@example(4, 0.0)
+@example(64, 0.0)
+def test_theorem2_exact_by_direct_enumeration(n, eps):
     p = 1 / math.sqrt(n)
     expected = 0.0
     for i in range(n + 1):
@@ -168,7 +190,24 @@ def test_theorem2_exact_by_direct_enumeration():
         at_least_two = 1 - (1 - p) ** i - i * p * (1 - p) ** (i - 1) if i >= 1 else 0.0
         expected += prob * at_least_two
     exact, _ = theorem2_fullinfo_revenue(n, eps)
+    assert math.isfinite(exact)
     assert exact == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_binomial_cond_expectation_matches_exact_fraction(data):
+    m = data.draw(st.integers(1, 200))
+    p = data.draw(st.floats(1e-6, 0.5, exclude_max=True))
+    k = data.draw(st.integers(0, m))
+    # p = a / d exactly, so each term C(m, i) p^i (1-p)^(m-i) is an integer
+    # over the common denominator d^m, which cancels in the ratio
+    a, d = p.as_integer_ratio()
+    terms = [(i, math.comb(m, i) * a**i * (d - a) ** (m - i)) for i in range(k, m + 1)]
+    tail = sum(t for _, t in terms)
+    assume(Fraction(tail, d**m) > Fraction(1, 10**290))  # clear of the 1e-300 guard
+    exact = Fraction(sum(i * t for i, t in terms), tail)
+    assert binomial_cond_expectation(m, p, k) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_binomial_cond_expectation_limits():

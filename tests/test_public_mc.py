@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from signalcraft.model import KvsInstance, KvsState, ValidationError, make_example3
+from signalcraft.lp import solve_ordering_lp
+from signalcraft.model import KvsInstance, KvsState, Signal, ValidationError, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import signal_space
-from signalcraft.public_mc import McConfig, evaluate_mc_scheme, mc_signal, sample_count
+from signalcraft.public_mc import (
+    McConfig,
+    _draw_pair,
+    _empirical_weights,
+    _slack,
+    evaluate_mc_scheme,
+    mc_signal,
+    sample_count,
+)
 
 
 def test_sample_count_frozen_values():
@@ -46,6 +55,37 @@ def test_mc_signal_unknown_state():
     inst = make_example3(0.1)
     with pytest.raises(ValidationError):
         mc_signal(inst, "nope", McConfig(0.1, 0, 10))
+
+
+def signal_by_scanning_states(instance, state_id, config, rng):
+    """mc_signal rebuilding the masses, the state lookup and the support's
+    values from the state objects on every call."""
+    state_idx = next(i for i, s in enumerate(instance.states) if s.id == state_id)
+    masses = np.array([s.mass for s in instance.states])
+    weights = _empirical_weights(masses, state_idx, config.k_for(instance.n), rng)
+    support = np.flatnonzero(weights)
+    values = np.array([instance.states[s].values for s in support], dtype=float)
+    phi, _ = solve_ordering_lp(values, weights[support], _slack(config.epsilon, instance.n))
+    return Signal.pair(*signal_space(instance.n)[_draw_pair(phi, support, state_idx, rng)])
+
+
+def test_mc_signal_matches_per_call_state_scan():
+    rng = np.random.default_rng(11)
+    instances = []
+    for num_states in (5, 60, 400):
+        masses = rng.dirichlet(np.ones(num_states))
+        values = rng.choice([0.0, 0.25, 0.5, 1.0], size=(num_states, 3))  # ties
+        instances.append(KvsInstance(n=3, states=tuple(
+            KvsState(f"s{s}", float(m), tuple(map(float, v)))
+            for s, (m, v) in enumerate(zip(masses, values))
+        )))
+    config = McConfig(epsilon=0.2, seed=0, k_override=100)
+    for call in range(200):
+        inst = instances[call % 3]
+        state_id = inst.states[int(rng.integers(len(inst.states)))].id
+        got = mc_signal(inst, state_id, config, rng=np.random.default_rng(call))
+        want = signal_by_scanning_states(inst, state_id, config, np.random.default_rng(call))
+        assert got == want
 
 
 def test_planted_slot_preserves_prior_distribution():
