@@ -1,4 +1,4 @@
-"""Second-price mechanics and the revenue/welfare functionals.
+"""The second-price payment and the revenue/welfare functionals.
 
 In a public scheme every bidder bids his posterior-expected value given the
 signal (the dominant strategy), so KVS revenue is a sum over signals of the
@@ -29,24 +29,6 @@ def max2(values) -> float:
     if arr.size < 2:
         raise ValidationError(f"max2 needs at least 2 values, got {arr.size}")
     return float(np.partition(arr, -2)[-2])
-
-
-@dataclass(frozen=True)
-class AuctionOutcome:
-    winner: int
-    price: float
-    all_bids: tuple[float, ...]
-
-
-def run_second_price(bids) -> AuctionOutcome:
-    """Lowest-index maximal bidder wins and pays the second-highest bid."""
-    arr = np.asarray(bids, dtype=float)
-    if arr.size < 2:
-        raise ValidationError(f"need at least 2 bids, got {arr.size}")
-    if np.any(arr < 0):
-        raise ValidationError("bids must be nonnegative")
-    winner = int(np.argmax(arr))
-    return AuctionOutcome(winner, max2(arr), tuple(float(b) for b in arr))
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,11 @@ def cmd_bvs_pool(args) -> list[ExperimentRecord]:
     instance = _require_bvs(_load(args.instance))
     scheme, guarantee_ok = bvs_pool.make_tail_pooling_scheme(instance)
     rng = np.random.default_rng(args.seed)
-    bits = tuple(int(c) for c in args.state)
-    if len(bits) != instance.n:
+    if len(args.state) != instance.n or set(args.state) - {"0", "1"}:
         raise ValidationError(
-            f"state {args.state!r} does not have {instance.n} bits"
+            f"state {args.state!r} is not {instance.n} characters of 0/1"
         )
+    bits = tuple(int(c) for c in args.state)
     if scheme.kind == "tail_pooling":
         signal = bvs_pool.tail_pool_signal(bits, scheme.pooling, rng)
     else:

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -107,16 +107,6 @@ class KvsInstance:
             index.setdefault(s.id, k)
         return index
 
-    def state_by_id(self, state_id: str) -> KvsState:
-        try:
-            return self.states[self.state_index[state_id]]
-        except KeyError:
-            raise KeyError(f"no state with id {state_id!r}") from None
-
-    def sample_state(self, rng: np.random.Generator) -> KvsState:
-        idx = rng.choice(len(self.states), p=self.masses / self.masses.sum())
-        return self.states[int(idx)]
-
     def to_json_dict(self) -> dict:
         d = {
             "kind": "kvs",
@@ -144,8 +134,8 @@ class ValueDistribution:
 
     Families: ``point(c)``, ``uniform(a, b)``, ``exponential(rate)`` and
     ``bernoulli(value, p)`` (value with probability p, else 0).  The first
-    three satisfy the monotone-hazard-rate condition; bernoulli is flagged
-    discrete and exempt from MHR-based checks.
+    three satisfy the monotone-hazard-rate condition (``has_mhr``); bernoulli
+    does not and is exempt from MHR-based checks.
     """
 
     family: str
@@ -196,10 +186,6 @@ class ValueDistribution:
             if not (0 <= p <= 1):
                 problems.append(f"bernoulli probability {p} outside [0, 1]")
         return problems
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.family in ("point", "bernoulli")
 
     @property
     def has_mhr(self) -> bool:
@@ -354,33 +340,7 @@ class ExplicitPrior:
         }
 
 
-@dataclass(frozen=True)
-class SamplerPrior:
-    """Black-box prior: a seeded sampling function plus a pmf query."""
-
-    n: int
-    sample_fn: Callable[[np.random.Generator], tuple[int, ...]]
-    pmf_fn: Callable[[tuple[int, ...]], float]
-
-    def pmf(self, bits: tuple[int, ...]) -> float:
-        return self.pmf_fn(tuple(bits))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            return np.asarray(self.sample_fn(rng), dtype=np.int8)
-        return np.array([self.sample_fn(rng) for _ in range(size)], dtype=np.int8)
-
-    def marginals(self) -> np.ndarray:
-        raise NotImplementedError("sampler priors expose no closed-form marginals")
-
-    def validate(self) -> list[str]:
-        return []
-
-    def to_json_value(self):
-        raise ValidationError("sampler priors are not serializable")
-
-
-FeaturePrior = IidPrior | ExplicitPrior | SamplerPrior
+FeaturePrior = IidPrior | ExplicitPrior
 
 
 @dataclass(frozen=True)
@@ -632,7 +592,17 @@ def _dist_from_json(obj, where: str) -> ValueDistribution:
 
 
 def instance_from_json_dict(data: dict) -> KvsInstance | BvsInstance:
-    """Parse the instance schema; unknown fields are rejected."""
+    """Parse the instance schema; an unknown, missing or malformed field
+    raises ValidationError."""
+    try:
+        return _parse_instance(data)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed instance field: {e!r}") from None
+
+
+def _parse_instance(data) -> KvsInstance | BvsInstance:
     if not isinstance(data, dict):
         raise ValidationError("instance document must be a JSON object")
     kind = data.get("kind")

@@ -162,11 +162,6 @@ def _revenue_at_bid(structure: TwoProfileStructure, b: float) -> float:
     return total
 
 
-def worst_bne_revenue(structure: TwoProfileStructure) -> float:
-    rev, _ = worst_bne_revenue_and_bid(structure)
-    return rev
-
-
 def worst_bne_revenue_and_bid(structure: TwoProfileStructure) -> tuple[float, float]:
     """Minimum expected revenue over the uninformed bidder's best responses.
 
@@ -573,6 +568,23 @@ def _best_fallback(instance, state, v, masses, capacity, delta, case_id, target)
     return best_plan, best_alloc
 
 
+def _donations(instance, registry) -> dict[str, list[tuple[str, float]]]:
+    """State id -> (consumer, mass) slices: each registry grant on a profile is
+    charged to that profile's states in proportion to their masses."""
+    states_by_key: dict[tuple[float, ...], list] = {}
+    for state in instance.states:
+        states_by_key.setdefault(_profile_key(state.values), []).append(state)
+    donated_out: dict[str, list[tuple[str, float]]] = {}
+    for key, consumers in registry.items():
+        group = states_by_key.get(key, [])
+        total = sum(s.mass for s in group)
+        for state in group:
+            share = state.mass / total
+            for consumer, amount in consumers:
+                donated_out.setdefault(state.id, []).append((consumer, amount * share))
+    return donated_out
+
+
 def _simulate(instance, plans_by_id, registry, seed, trials):
     """Seeded simulation of the designed scheme's revenue.
 
@@ -585,21 +597,7 @@ def _simulate(instance, plans_by_id, registry, seed, trials):
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-
-    donated_out: dict[str, list[tuple[str, float]]] = {}
-    for key, consumers in registry.items():
-        for state in instance.states:
-            if _profile_key(state.values) == key:
-                # donations are charged proportionally to each state's share
-                share = state.mass / sum(
-                    s.mass
-                    for s in instance.states
-                    if _profile_key(s.values) == key
-                )
-                for consumer, amount in consumers:
-                    donated_out.setdefault(state.id, []).append(
-                        (consumer, amount * share)
-                    )
+    donated_out = _donations(instance, registry)
 
     def slice_revenue(consumer_id: str) -> float:
         plan = plans_by_id[consumer_id]

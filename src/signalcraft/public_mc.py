@@ -20,7 +20,7 @@ K - 1 prior samples and the length-|Theta| weight vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +81,20 @@ def _draw_pair(
     return int(rng.choice(row.size, p=row / row.sum()))
 
 
+def _solve_and_draw(
+    instance: KvsInstance, state_idx: int, k: int, slack: float, rng: np.random.Generator
+):
+    """One signaling trial for a realized state: the drawn pair index, the
+    empirical weights, their support, the support's phi and the LP objective."""
+    weights = _empirical_weights(instance.masses, state_idx, k, rng)
+    support = np.flatnonzero(weights)
+    phi, objective = solve_ordering_lp(
+        instance.value_matrix[support], weights[support], slack
+    )
+    pair_idx = _draw_pair(phi, support, state_idx, rng)
+    return pair_idx, weights, support, phi, objective
+
+
 @dataclass
 class SignalDetails:
     signal: Signal
@@ -114,14 +128,9 @@ def mc_signal(
         rng = np.random.default_rng(config.seed)
 
     k = config.k_for(instance.n)
-    weights = _empirical_weights(instance.masses, state_idx, k, rng)
-    support = np.flatnonzero(weights)
-    phi, objective = solve_ordering_lp(
-        instance.value_matrix[support],
-        weights[support],
-        _slack(config.epsilon, instance.n),
+    pair_idx, weights, support, phi, objective = _solve_and_draw(
+        instance, state_idx, k, _slack(config.epsilon, instance.n), rng
     )
-    pair_idx = _draw_pair(phi, support, state_idx, rng)
     signal = Signal.pair(*signal_space(instance.n)[pair_idx])
     if detail:
         full = np.zeros((len(weights), phi.shape[1]))
@@ -137,8 +146,6 @@ class McEvaluation:
     trials: int
     k: int
     guarantee: bool
-    # empirical joint of (state index, pair index) over the trials
-    joint: np.ndarray = field(repr=False, default=None)
 
 
 def evaluate_mc_scheme(
@@ -155,8 +162,6 @@ def evaluate_mc_scheme(
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    masses = instance.masses
-    values = instance.value_matrix
     num_states = len(instance.states)
     num_pairs = len(signal_space(instance.n))
     slack = _slack(config.epsilon, instance.n)
@@ -165,24 +170,20 @@ def evaluate_mc_scheme(
     outcomes = []
     for seed in np.random.SeedSequence(config.seed).spawn(trials):
         rng = np.random.default_rng(seed)
-        s_idx = int(rng.choice(num_states, p=masses))
-        weights = _empirical_weights(masses, s_idx, k, rng)
-        support = np.flatnonzero(weights)
-        phi, _ = solve_ordering_lp(values[support], weights[support], slack)
-        outcomes.append((s_idx, _draw_pair(phi, support, s_idx, rng)))
+        s_idx = int(rng.choice(num_states, p=instance.masses))
+        outcomes.append((s_idx, _solve_and_draw(instance, s_idx, k, slack, rng)[0]))
+    states, pairs = np.array(outcomes).T
 
+    # empirical joint of (state index, pair index) over the trials
     joint = np.zeros((num_states, num_pairs))
-    for s_idx, p_idx in outcomes:
-        joint[s_idx, p_idx] += 1.0
+    np.add.at(joint, (states, pairs), 1.0)
 
     sig_revenue = np.zeros(num_pairs)
     for p in range(num_pairs):
         col = joint[:, p]
         total = col.sum()
         if total > 0:
-            sig_revenue[p] = max2(col @ values / total)
-    per_trial = np.array([sig_revenue[p_idx] for _, p_idx in outcomes])
+            sig_revenue[p] = max2(col @ instance.value_matrix / total)
+    per_trial = sig_revenue[pairs]
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return McEvaluation(
-        float(per_trial.mean()), se, trials, k, config.guarantee, joint
-    )
+    return McEvaluation(float(per_trial.mean()), se, trials, k, config.guarantee)

@@ -7,7 +7,6 @@ from signalcraft.auction import (
     kvs_public_revenue,
     kvs_public_welfare,
     max2,
-    run_second_price,
 )
 from signalcraft.bvs_pool import make_tail_pooling_scheme
 from signalcraft.model import (
@@ -43,19 +42,6 @@ def test_max2_matches_sorting_on_random_vectors():
     for _ in range(200):
         v = rng.random(rng.integers(2, 8))
         assert max2(v) == second_largest_by_sorting(v.tolist())
-
-
-def test_run_second_price():
-    out = run_second_price([0.9, 0.2, 1.0])
-    assert out.winner == 2 and out.price == pytest.approx(0.9)
-    out = run_second_price([0.5, 0.5])
-    assert out.winner == 0 and out.price == 0.5
-    out = run_second_price([1.0, 0.9, 0.1])
-    assert out.winner == 0 and out.price == pytest.approx(0.9)
-    with pytest.raises(ValidationError):
-        run_second_price([1.0])
-    with pytest.raises(ValidationError):
-        run_second_price([1.0, -0.5])
 
 
 def test_conditional_values_no_information():

@@ -81,6 +81,19 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
     assert run("solve-public-exact", "--instance", str(nan_mass)) == EXIT_VALIDATION
     assert "not a finite" in capsys.readouterr().err
 
+    # missing or mistyped fields are validation errors, not tracebacks
+    state = {"id": "a", "mass": 1.0, "values": [0.1, 0.2]}
+    bvs = {"kind": "bvs", "n": 2, "high": {"point": 1}, "low": {"point": 0}}
+    for doc in (
+        {"kind": "kvs", "states": [state]},
+        {"kind": "kvs", "n": 2, "states": [{**state, "mass": "abc"}]},
+        {"kind": "kvs", "n": 2, "states": [{**state, "values": 0.5}]},
+        {**bvs, "prior": {"explicit": [{"bits": "0x", "mass": 1.0}]}},
+    ):
+        wrong.write_text(json.dumps(doc))
+        assert run("solve-public-exact", "--instance", str(wrong)) == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+
 
 def test_internal_error_is_not_a_solver_failure(tmp_path, monkeypatch):
     def broken(args):
@@ -125,6 +138,8 @@ def test_bvs_pool_and_check(tmp_path):
     ) == EXIT_OK
     doc = json.loads(pool_out.read_text())
     assert doc["bidders"] == [0, 1, 2, 3]
+    for state in ("0200", "01a0", "010", "01001"):
+        assert run("bvs-pool", "--instance", str(inst), "--state", state) == EXIT_VALIDATION
     assert run(
         "bvs-check-lemma6", "--n", "22", "--high", "uniform:0,1",
         "--low", "point:0", "--theta-weight", "1", "--trials", "5000",

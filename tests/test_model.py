@@ -9,7 +9,6 @@ from signalcraft.model import (
     IidPrior,
     KvsInstance,
     KvsState,
-    SamplerPrior,
     Signal,
     ValidationError,
     ValueDistribution,
@@ -59,9 +58,8 @@ def test_kvs_arrays_are_cached_and_read_only():
         inst.masses[0] = 0.5
     with pytest.raises(ValueError):
         inst.value_matrix[0, 0] = 0.5
-    assert inst.state_by_id("B") is inst.states[1]
-    with pytest.raises(KeyError):
-        inst.state_by_id("C")
+    assert inst.state_index["B"] == 1
+    assert "C" not in inst.state_index
 
 
 def test_validate_mean_ordering():
@@ -172,30 +170,18 @@ def test_prior_sampling_frequencies():
         se = np.sqrt(mass * (1 - mass) / trials)
         assert abs(freq - mass) <= 4 * se
 
-    base = IidPrior(3, 0.3)
-    sampler = SamplerPrior(
-        3, lambda r: tuple(base.sample(r)), base.pmf
-    )
-    samples = sampler.sample(rng, 20_000)
-    for idx in range(8):
-        bits = tuple((idx >> b) & 1 for b in range(3))
-        mass = sampler.pmf(bits)
-        freq = np.mean(np.all(samples == np.asarray(bits), axis=1))
-        se = np.sqrt(mass * (1 - mass) / 20_000)
-        assert abs(freq - mass) <= 4 * se
-
 
 def test_distribution_functions():
     u = ValueDistribution.uniform(0.0, 2.0)
     assert u.mean() == 1.0
     assert u.cdf(1.0) == 0.5
     assert u.ppf(0.25) == 0.5
-    assert u.has_mhr and not u.is_discrete
+    assert u.has_mhr
 
     b = ValueDistribution.bernoulli(1.0, 0.3)
     assert b.mean() == pytest.approx(0.3)
     assert b.ppf(0.69) == 0.0 and b.ppf(0.71) == 1.0
-    assert b.is_discrete and not b.has_mhr
+    assert not b.has_mhr
 
     e = ValueDistribution.exponential(2.0)
     assert e.mean() == 0.5

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from signalcraft.private import (
     FullSupportError,
     StructureError,
     TwoProfileStructure,
+    _donations,
+    _profile_key,
     build_auxiliary,
     check_theorem5_assumptions,
     classify_case,
@@ -24,7 +27,6 @@ from signalcraft.private import (
     strongest_bidders,
     theorem5_bound,
     uninformed_best_response,
-    worst_bne_revenue,
     worst_bne_revenue_and_bid,
 )
 
@@ -100,8 +102,8 @@ def test_example3_worst_bne_revenue():
 
 def test_worst_bne_delta_independence():
     # the revenue floor (the auxiliary second value) does not move with delta
-    r_small = worst_bne_revenue(example3_structure(delta=0.001))
-    r_large = worst_bne_revenue(example3_structure(delta=0.5))
+    r_small = worst_bne_revenue_and_bid(example3_structure(delta=0.001))[0]
+    r_large = worst_bne_revenue_and_bid(example3_structure(delta=0.5))[0]
     floor = example3_structure().floor
     assert floor == pytest.approx(0.9)
     assert r_small == pytest.approx(r_large) == pytest.approx(floor)
@@ -114,7 +116,7 @@ def test_structure_rejects_degenerate_gap():
             v=(0.2, 0.1, 1.0), u=(1.1, 1.0, 0.1), uninformed=0, delta=0.1
         ).check()
     with pytest.raises(StructureError):
-        worst_bne_revenue(
+        worst_bne_revenue_and_bid(
             TwoProfileStructure(
                 v=(0.2, 0.1, 1.0), u=(1.1, 1.0, 0.1), uninformed=0, delta=0.1
             )
@@ -223,7 +225,7 @@ def test_case_constructions_meet_their_floors():
         structure = TwoProfileStructure(
             tuple(v), aux.u, aux.uninformed, delta=0.01
         )
-        rev = worst_bne_revenue(structure)
+        rev = worst_bne_revenue_and_bid(structure)[0]
         if case in (0, 1, 2):
             assert rev >= v.max() - eps - 1e-9
         else:
@@ -235,7 +237,7 @@ def test_case3_construction_floor():
     v = (0.9, 0.2, 0.1)
     aux = build_auxiliary(v, 3, 0.9, 0, 0.5, 1, eps=0.05)
     structure = TwoProfileStructure(v, aux.u, aux.uninformed, delta=0.2)
-    assert worst_bne_revenue(structure) >= 0.5 - 0.05 - 1e-9
+    assert worst_bne_revenue_and_bid(structure)[0] >= 0.5 - 0.05 - 1e-9
 
 
 def test_theorem5_bound_example3():
@@ -332,3 +334,40 @@ def test_run_private_scheme_respects_registry_budget():
     for key, grants in result.registry.items():
         total = sum(amount for _, amount in grants)
         assert total <= 0.5 * masses[key] + 1e-12
+
+
+def donations_by_scanning_states(instance, registry):
+    """The donation split re-keying every state per registry key and again
+    inside each share's denominator."""
+    donated_out = {}
+    for key, consumers in registry.items():
+        for state in instance.states:
+            if _profile_key(state.values) == key:
+                share = state.mass / sum(
+                    s.mass for s in instance.states if _profile_key(s.values) == key
+                )
+                for consumer, amount in consumers:
+                    donated_out.setdefault(state.id, []).append(
+                        (consumer, amount * share)
+                    )
+    return donated_out
+
+
+def test_donations_match_per_key_state_scan():
+    # extra states repeat lattice profiles, so a profile's grant is split
+    rng = np.random.default_rng(21)
+    split = 0
+    for trial in range(4):
+        profiles = list(itertools.product(LATTICE, repeat=3))
+        profiles += [profiles[i] for i in rng.choice(len(profiles), size=10)]
+        masses = rng.dirichlet(np.ones(len(profiles)))
+        inst = KvsInstance(n=3, states=tuple(
+            KvsState(f"s{i:02d}", float(masses[i]), profiles[i])
+            for i in range(len(profiles))
+        ))
+        result = run_private_scheme(inst, eps=0.05, delta=0.01, seed=trial, trials=200)
+        got = _donations(inst, result.registry)
+        assert got == donations_by_scanning_states(inst, result.registry)
+        shared = Counter(profiles)
+        split += sum(shared[inst.states[inst.state_index[sid]].values] > 1 for sid in got)
+    assert split > 0

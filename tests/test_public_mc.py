@@ -139,6 +139,42 @@ def test_emitted_signal_satisfies_slackened_ordering():
                     assert post[j] >= post[kk] - slack - 1e-7
 
 
+def test_evaluator_plays_the_signalers_scheme():
+    # replay each spawned trial through mc_signal and redo the bookkeeping
+    rng = np.random.default_rng(8)
+    masses = rng.dirichlet(np.ones(30))
+    values = rng.choice([0.0, 0.5, 1.0], size=(30, 3))  # ties
+    tied = KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s}", float(m), tuple(map(float, v)))
+        for s, (m, v) in enumerate(zip(masses, values))
+    ))
+    pairs = signal_space(3)
+    for inst, config in (
+        (make_example3(0.1), McConfig(epsilon=0.2, seed=5, k_override=300)),
+        (tied, McConfig(epsilon=0.2, seed=6, k_override=100)),
+    ):
+        trials = 120
+        result = evaluate_mc_scheme(inst, config, trials)
+        emitted = []
+        for seed in np.random.SeedSequence(config.seed).spawn(trials):
+            trial_rng = np.random.default_rng(seed)
+            s_idx = int(trial_rng.choice(len(inst.states), p=inst.masses))
+            sig = mc_signal(inst, inst.states[s_idx].id, config, rng=trial_rng)
+            emitted.append((s_idx, pairs.index(sig.payload)))
+        posterior_sum = {}
+        for s_idx, p in emitted:
+            total, count = posterior_sum.get(p, (np.zeros(3), 0))
+            posterior_sum[p] = (total + inst.value_matrix[s_idx], count + 1)
+        revenue = {
+            p: sorted(total / count)[-2] for p, (total, count) in posterior_sum.items()
+        }
+        per_trial = np.array([revenue[p] for _, p in emitted])
+        assert result.estimate == pytest.approx(per_trial.mean(), abs=1e-12)
+        assert result.std_error == pytest.approx(
+            per_trial.std(ddof=1) / np.sqrt(trials), abs=1e-12
+        )
+
+
 def test_evaluate_rejects_zero_trials():
     with pytest.raises(ValidationError):
         evaluate_mc_scheme(make_example3(0.1), McConfig(0.2, 0, 100), 0)
