@@ -8,7 +8,10 @@ pair), so the optimum is one linear program.  The exact optimal public scheme
 solves it on the prior masses; the sampled signaler solves it on an empirical
 distribution with its ordering constraints slackened.  Both call
 ``solve_ordering_lp``, which hands the LP to the HiGHS backend shipped with
-scipy and checks the solution before returning it.
+scipy and checks the solution before returning it.  The sampled scheme's
+evaluator solves the same LP thousands of times with drifting weights; its
+``FaceCache`` reuses an earlier optimum's face whenever a dual certificate
+proves it optimal for the new weights, and solves cold otherwise.
 
 scipy is imported on first use, not with this module, so that commands which
 solve no LP start without it.  ``linprog`` below is the one module-level name
@@ -18,11 +21,16 @@ the backend.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .model import ValidationError
 
 FEAS_TOL = 1e-7
+# optimal faces a FaceCache keeps per LP; trying one costs a small
+# matrix-vector product, against milliseconds for a cold solve
+MAX_FACES = 32
 
 
 class SolverFailure(RuntimeError):
@@ -57,56 +65,185 @@ def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]
     order, clipped at 0.  Raises SolverFailure unless the solve is optimal and
     phi meets every row sum and ordering row within FEAS_TOL.
     """
-    from scipy.sparse import csr_matrix
+    phi, objective, _ = _OrderingLp(values).solve(np.asarray(weights, dtype=float), slack)
+    return phi, objective
 
-    values = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    num_states, n = values.shape
-    pairs = signal_space(n)
-    num_pairs = len(pairs)
-    num_vars = num_states * num_pairs
 
-    # state-major columns s * num_pairs + p; for each pair its top row, then
-    # its second-vs-rest rows, each touching the pair's column in every state
+@functools.cache
+def _ordering_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ordering rows of the n-bidder LP as (pair index, a, b) arrays: for
+    each pair (i, j) its top row (i, j), then its second-vs-rest rows (j, k).
+    Row r asks bidder a to beat bidder b on the row's pair, up to the slack."""
     rows = [
         (p, a, b)
-        for p, (i, j) in enumerate(pairs)
+        for p, (i, j) in enumerate(signal_space(n))
         for a, b in [(i, j)] + [(j, k) for k in range(n) if k not in (i, j)]
     ]
-    row_pair = np.array([p for p, _, _ in rows])
-    diffs = values[:, [a for _, a, _ in rows]] - values[:, [b for _, _, b in rows]]
-    a_ub = csr_matrix(
-        (
-            -(w[:, None] * diffs).T.ravel(),
-            (row_pair[:, None] + num_pairs * np.arange(num_states)).ravel(),
-            num_states * np.arange(len(rows) + 1),
-        ),
-        shape=(len(rows), num_vars),
-    )
-    a_eq = csr_matrix(
-        (np.ones(num_vars), np.arange(num_vars), num_pairs * np.arange(num_states + 1)),
-        shape=(num_states, num_vars),
-    )
-    c = -(w[:, None] * values[:, [j for _, j in pairs]]).ravel()
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.full(len(rows), float(slack)),
-        A_eq=a_eq,
-        b_eq=np.ones(num_states),
-        # phi <= 1 follows from the row sums, but HiGHS needs about twice
-        # the iterations without it
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if res.status != 0:
-        raise SolverFailure(f"ordering LP: solver status {res.status}: {res.message}")
-    phi = np.clip(res.x.reshape(num_states, num_pairs), 0.0, None)
-    row_gap = float(np.abs(phi.sum(axis=1) - 1.0).max())
-    order_gap = float((a_ub @ phi.ravel()).max()) - slack
-    if row_gap > FEAS_TOL or order_gap > FEAS_TOL:
-        raise SolverFailure(
-            f"ordering LP: solution misses a row sum by {row_gap:.3g} "
-            f"and an ordering row by {order_gap:.3g}"
+    cols = tuple(np.array(col) for col in zip(*rows))
+    for col in cols:
+        col.setflags(write=False)  # shared by every caller
+    return cols
+
+
+class _OrderingLp:
+    """The ordering LP on fixed value profiles, any weights.
+
+    In joint-mass form, x(s, p) = w_s * phi(s, p), the LP reads: minimise
+    c.x with c(s, p) = -v(s, j), subject to sum_p x(s, p) = w_s, every
+    ordering row sum_s -(v(s, a) - v(s, b)) * x(s, p) <= slack, and x >= 0.
+    Only the right-hand side w depends on the weights.
+    """
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
+        n = values.shape[1]
+        self.row_pair, a, b = _ordering_rows(n)
+        self.gain = values[:, [j for _, j in signal_space(n)]]  # -c
+        self.diffs = values[:, a] - values[:, b]
+
+    def order_rows(self, x: np.ndarray) -> np.ndarray:
+        """Left-hand side of every ordering row at joint mass x."""
+        return -(self.diffs * x[:, self.row_pair]).sum(axis=0)
+
+    def residuals(self, w, phi, slack: float) -> tuple[float, float]:
+        """How far phi misses a row sum of 1, and how far its worst ordering
+        row exceeds the slack."""
+        row_gap = float(np.abs(phi.sum(axis=1) - 1.0).max())
+        return row_gap, float(self.order_rows(w[:, None] * phi).max()) - slack
+
+    def solve(self, w, slack: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """A cold solve in phi form: (phi, objective, ordering-row duals)."""
+        from scipy.sparse import csr_matrix
+
+        num_states, num_pairs = self.gain.shape
+        num_rows = len(self.row_pair)
+        num_vars = num_states * num_pairs
+        # state-major columns s * num_pairs + p; each ordering row touches
+        # its pair's column in every state
+        a_ub = csr_matrix(
+            (
+                -(w[:, None] * self.diffs).T.ravel(),
+                (self.row_pair[:, None] + num_pairs * np.arange(num_states)).ravel(),
+                num_states * np.arange(num_rows + 1),
+            ),
+            shape=(num_rows, num_vars),
         )
-    return phi, -float(res.fun)
+        a_eq = csr_matrix(
+            (np.ones(num_vars), np.arange(num_vars), num_pairs * np.arange(num_states + 1)),
+            shape=(num_states, num_vars),
+        )
+        res = linprog(
+            -(w[:, None] * self.gain).ravel(),
+            A_ub=a_ub,
+            b_ub=np.full(num_rows, float(slack)),
+            A_eq=a_eq,
+            b_eq=np.ones(num_states),
+            # phi <= 1 follows from the row sums, but HiGHS needs about twice
+            # the iterations without it
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        if res.status != 0:
+            raise SolverFailure(f"ordering LP: solver status {res.status}: {res.message}")
+        phi = np.clip(res.x.reshape(num_states, num_pairs), 0.0, None)
+        gaps = self.residuals(w, phi, slack)
+        if not max(gaps) <= FEAS_TOL:
+            raise SolverFailure(
+                f"ordering LP: solution misses a row sum by {gaps[0]:.3g} "
+                f"and an ordering row by {gaps[1]:.3g}"
+            )
+        return phi, -float(res.fun), res.ineqlin.marginals
+
+
+class _Face:
+    """An optimal face of one ordering LP, with a certificate for new weights.
+
+    It holds the columns that carried mass at a cold optimum x, the ordering
+    rows tight there (a tight row stays in the face even when its dual is 0),
+    and the ordering-row duals z <= 0 of that solve.  The profile prices
+    y_s = min_p (c - A_ub^T z)(s, p) make (y, z) dual-feasible whatever the
+    weights, so w.y + slack * sum(z) bounds every feasible c.x from below.
+    """
+
+    def __init__(self, lp: _OrderingLp, x: np.ndarray, z: np.ndarray, slack: float):
+        self.lp, self.slack = lp, slack
+        num_states, num_pairs = x.shape
+        self.cols = np.flatnonzero(x.ravel() > 0)
+        states, pairs = np.divmod(self.cols, num_pairs)
+        tight = np.flatnonzero(lp.order_rows(x) >= slack - FEAS_TOL)
+        # the face system: row sums w, then the tight rows held at the slack
+        system = np.zeros((num_states + len(tight), len(self.cols)))
+        system[states, np.arange(len(self.cols))] = 1.0
+        system[num_states:] = -lp.diffs[states][:, tight].T * (
+            lp.row_pair[tight, None] == pairs
+        )
+        pinv = np.linalg.pinv(system)
+        self.shape = x.shape
+        self.from_w = pinv[:, :num_states]
+        self.from_slack = slack * pinv[:, num_states:].sum(axis=1)
+        z = np.minimum(z, 0.0)
+        reduced = -lp.gain.copy()
+        np.add.at(reduced.T, lp.row_pair, (lp.diffs * z).T)
+        self.y = reduced.min(axis=1)
+        self.slack_price = slack * z.sum()
+
+    def certify(self, w):
+        """(phi, objective) of the face's point for weights w, or None when
+        the certificate does not prove it optimal."""
+        lp, slack = self.lp, self.slack
+        x = np.zeros(self.shape)
+        x.flat[self.cols] = self.from_w @ w + self.from_slack
+        phi = x / w[:, None]
+        if not phi.min() >= -FEAS_TOL:  # written so that NaN fails too
+            return None
+        phi = np.clip(phi, 0.0, None)
+        objective = float((w[:, None] * phi * lp.gain).sum())
+        certified = (
+            max(lp.residuals(w, phi, slack)) <= FEAS_TOL
+            and -objective <= w @ self.y + self.slack_price + 1e-9
+        )
+        return (phi, objective) if certified else None
+
+
+class FaceCache:
+    """``solve_ordering_lp`` for a run of solves whose weights drift.
+
+    A solve on value profiles already seen tries the optimal faces kept for
+    them, most recently used first, and returns the first whose certificate
+    proves its point optimal for the new weights; otherwise it solves cold
+    and keeps that optimum's face.  Faces are built from the second cold
+    solve on the same profiles on, so a run whose profiles never repeat
+    pays only a set lookup per solve.  Weights must be positive.
+
+    Where the LP has several optima a reused face may return another one
+    than a cold solve would, with the same objective within 1e-9.
+    """
+
+    def __init__(self):
+        self._seen: set[int] = set()
+        self._faces: dict[tuple, tuple[_OrderingLp, list[_Face]]] = {}
+
+    def solve(self, values, weights, slack: float) -> tuple[np.ndarray, float]:
+        values = np.asarray(values, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        key = (float(slack), values.shape, values.tobytes())
+        entry = self._faces.get(key)
+        if entry is not None:
+            lp, faces = entry
+            for i, face in enumerate(faces):
+                found = face.certify(w)
+                if found is not None:
+                    faces.insert(0, faces.pop(i))
+                    return found
+        else:
+            lp, faces = _OrderingLp(values), None
+            if hash(key) in self._seen:  # a hash collision only builds a face early
+                faces = []
+                self._faces[key] = (lp, faces)
+            else:
+                self._seen.add(hash(key))
+        phi, objective, z = lp.solve(w, slack)
+        if faces is not None:
+            faces.insert(0, _Face(lp, w[:, None] * phi, z, slack))
+            del faces[MAX_FACES:]
+        return phi, objective

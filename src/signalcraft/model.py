@@ -602,6 +602,13 @@ def instance_from_json_dict(data: dict) -> KvsInstance | BvsInstance:
         raise ValidationError(f"malformed instance field: {e!r}") from None
 
 
+def _bidder_count(raw) -> int:
+    # bool is an int subclass; a JSON true must not read as one bidder
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValidationError(f"n must be an integer, got {raw!r}")
+    return raw
+
+
 def _parse_instance(data) -> KvsInstance | BvsInstance:
     if not isinstance(data, dict):
         raise ValidationError("instance document must be a JSON object")
@@ -625,7 +632,7 @@ def _parse_instance(data) -> KvsInstance | BvsInstance:
             except KeyError as e:
                 raise ValidationError(f"states[{k}]: missing field {e}") from None
         inst = KvsInstance(
-            n=int(data["n"]),
+            n=_bidder_count(data["n"]),
             states=tuple(states),
             value_scale=float(data.get("value_scale", 1.0)),
         )
@@ -634,7 +641,7 @@ def _parse_instance(data) -> KvsInstance | BvsInstance:
         unknown = set(data) - allowed
         if unknown:
             raise ValidationError(f"unknown fields: {sorted(unknown)}")
-        n = int(data["n"])
+        n = _bidder_count(data["n"])
         pr = data.get("prior")
         if not isinstance(pr, dict) or len(pr) != 1:
             raise ValidationError("prior: expected a one-key object")

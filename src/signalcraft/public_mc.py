@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction import max2
-from .lp import signal_space, solve_ordering_lp
+from .lp import FaceCache, signal_space, solve_ordering_lp
 from .model import KvsInstance, Signal, ValidationError
 
 
@@ -82,15 +82,19 @@ def _draw_pair(
 
 
 def _solve_and_draw(
-    instance: KvsInstance, state_idx: int, k: int, slack: float, rng: np.random.Generator
+    instance: KvsInstance,
+    state_idx: int,
+    k: int,
+    slack: float,
+    rng: np.random.Generator,
+    solve=solve_ordering_lp,
 ):
     """One signaling trial for a realized state: the drawn pair index, the
-    empirical weights, their support, the support's phi and the LP objective."""
+    empirical weights, their support, the support's phi and the LP objective.
+    ``solve`` is ``solve_ordering_lp`` or a ``FaceCache``'s ``solve``."""
     weights = _empirical_weights(instance.masses, state_idx, k, rng)
     support = np.flatnonzero(weights)
-    phi, objective = solve_ordering_lp(
-        instance.value_matrix[support], weights[support], slack
-    )
+    phi, objective = solve(instance.value_matrix[support], weights[support], slack)
     pair_idx = _draw_pair(phi, support, state_idx, rng)
     return pair_idx, weights, support, phi, objective
 
@@ -159,6 +163,15 @@ def evaluate_mc_scheme(
     vector is estimated from the trials that emitted it, and the estimate is
     the mean over trials of the second-highest posterior value at the
     emitted signal.  Each trial draws from its own spawned seed.
+
+    The trials share one ``FaceCache``: a trial whose sampled states repeat
+    an earlier trial's reuses an optimal face of that LP when a dual
+    certificate proves it optimal for the new weights, and solves cold
+    otherwise.  Every trial's phi is an optimum of its own LP, but where the
+    LP has several optima a reused face may pick another one than the cold
+    solve inside ``mc_signal``, so replaying the trials through
+    ``mc_signal`` need not give the same estimate.  The cache lives for one
+    call, so the estimate is still a function of the seed alone.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -167,11 +180,12 @@ def evaluate_mc_scheme(
     slack = _slack(config.epsilon, instance.n)
     k = config.k_for(instance.n)
 
+    solve = FaceCache().solve
     outcomes = []
     for seed in np.random.SeedSequence(config.seed).spawn(trials):
         rng = np.random.default_rng(seed)
         s_idx = int(rng.choice(num_states, p=instance.masses))
-        outcomes.append((s_idx, _solve_and_draw(instance, s_idx, k, slack, rng)[0]))
+        outcomes.append((s_idx, _solve_and_draw(instance, s_idx, k, slack, rng, solve)[0]))
     states, pairs = np.array(outcomes).T
 
     # empirical joint of (state index, pair index) over the trials

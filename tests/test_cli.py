@@ -94,6 +94,19 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
         assert run("solve-public-exact", "--instance", str(wrong)) == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
 
+    # a bidder count that is not an integer is an error, not truncated to
+    # int(n), which the rest of the document fits
+    for n, width in ((2.7, 2), (True, 2), ("3", 3)):
+        values = [0.1 * (b + 1) for b in range(width)]
+        for doc, argv in (
+            ({"kind": "kvs", "n": n, "states": [{**state, "values": values}]},
+             ["solve-public-exact"]),
+            ({**bvs, "n": n, "prior": {"iid": 0.2}}, ["bvs-pool", "--state", "01" + "0" * (width - 2)]),
+        ):
+            wrong.write_text(json.dumps(doc))
+            assert run(*argv, "--instance", str(wrong)) == EXIT_VALIDATION
+            assert "n must be an integer" in capsys.readouterr().err
+
 
 def test_internal_error_is_not_a_solver_failure(tmp_path, monkeypatch):
     def broken(args):

@@ -1,17 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 import signalcraft.lp as lp
 from signalcraft.auction import kvs_public_revenue, max2
-from signalcraft.lp import FEAS_TOL, SolverFailure, signal_space, solve_ordering_lp
+from signalcraft.lp import FEAS_TOL, FaceCache, SolverFailure, signal_space, solve_ordering_lp
 from signalcraft.model import KvsInstance, KvsState, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import solve_optimal_public
+from signalcraft.public_mc import _slack, sample_count
 
 EX3 = make_example3(0.1)
 
@@ -196,3 +198,82 @@ def test_relaxed_exact_proportions_close_to_exact_lp():
     _, exact = solve_example3()
     assert relaxed >= exact - 1e-9  # relaxation
     assert relaxed <= exact + eps / 2.0 * 6
+
+
+# --- certified face reuse ----------------------------------------------------
+
+
+@st.composite
+def drifting_weights(draw):
+    """Value profiles (ties likely) and four weight vectors on all of them,
+    each from K prior slots, with K small or the formula's count."""
+    n = draw(st.integers(2, 4))
+    num_states = draw(st.integers(1, 8))
+    values = np.array([
+        draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+        for _ in range(num_states)
+    ])
+    masses = np.array(draw(st.lists(
+        st.integers(1, 4), min_size=num_states, max_size=num_states
+    )), dtype=float)
+    eps = draw(st.sampled_from([0.06, 0.15, 0.25]))
+    k = draw(st.sampled_from([num_states + 30, sample_count(n, eps)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = [
+        (rng.multinomial(k - num_states, masses / masses.sum()) + 1) / k for _ in range(4)
+    ]
+    return values, draws, _slack(eps, n)
+
+
+def counting_linprog():
+    return mock.patch.object(lp, "linprog", wraps=lp.linprog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drifting_weights())
+def test_reused_face_matches_a_cold_solve(case):
+    values, draws, slack = case
+    cache = FaceCache()
+    reused = 0
+    for w in draws:  # the second solve builds a face, later ones may reuse it
+        with counting_linprog() as solver:
+            phi, objective = cache.solve(values, w, slack)
+        reused += solver.call_count == 0
+        _, cold = solve_ordering_lp(values, w, slack)
+        assert objective == pytest.approx(cold, abs=1e-9)
+        assert max(lp._OrderingLp(values).residuals(w, phi, slack)) <= FEAS_TOL
+        assert ordering_rows(values, w, phi).min() >= -slack - FEAS_TOL
+    event(f"reused {reused} of 2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(drifting_weights(), st.sampled_from(["perturbed", "foreign"]), st.data())
+def test_face_with_a_wrong_dual_is_rejected(case, wrong, data):
+    values, draws, slack = case
+    w = draws[0]
+    ordering = lp._OrderingLp(values)
+    phi, cold, z = ordering.solve(w, slack)
+    if wrong == "perturbed":
+        z = z + np.array(data.draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=len(z), max_size=len(z)
+        )))
+    else:  # the duals of another instance with as many bidders
+        other = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(LEVELS), min_size=values.shape[1], max_size=values.shape[1]),
+            min_size=1, max_size=8,
+        )))
+        z = lp._OrderingLp(other).solve(np.full(len(other), 1 / len(other)), slack)[2]
+    # the face's point is this solve's own optimum, so only the dual can fail
+    face = lp._Face(ordering, w[:, None] * phi, z, slack)
+    assume(w @ face.y + face.slack_price < -cold - 1e-6)
+    assert face.certify(w) is None
+
+    cache = FaceCache()
+    cache.solve(values, w, slack)
+    cache.solve(values, w, slack)
+    (_, faces), = cache._faces.values()
+    faces[:] = [face]
+    with counting_linprog() as solver:
+        _, objective = cache.solve(values, w, slack)
+    assert solver.call_count == 1
+    assert objective == pytest.approx(cold, abs=1e-9)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from signalcraft.lp import solve_ordering_lp
+import signalcraft.lp as lp
+from signalcraft.lp import FaceCache, solve_ordering_lp
 from signalcraft.model import KvsInstance, KvsState, Signal, ValidationError, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import signal_space
@@ -11,6 +14,7 @@ from signalcraft.public_mc import (
     _draw_pair,
     _empirical_weights,
     _slack,
+    _solve_and_draw,
     evaluate_mc_scheme,
     mc_signal,
     sample_count,
@@ -140,7 +144,9 @@ def test_emitted_signal_satisfies_slackened_ordering():
 
 
 def test_evaluator_plays_the_signalers_scheme():
-    # replay each spawned trial through mc_signal and redo the bookkeeping
+    # replay the spawned trials in order through the per-trial body with one
+    # face cache, check every trial's LP optimum against a cold solve, and
+    # redo the bookkeeping
     rng = np.random.default_rng(8)
     masses = rng.dirichlet(np.ones(30))
     values = rng.choice([0.0, 0.5, 1.0], size=(30, 3))  # ties
@@ -148,19 +154,24 @@ def test_evaluator_plays_the_signalers_scheme():
         KvsState(f"s{s}", float(m), tuple(map(float, v)))
         for s, (m, v) in enumerate(zip(masses, values))
     ))
-    pairs = signal_space(3)
     for inst, config in (
         (make_example3(0.1), McConfig(epsilon=0.2, seed=5, k_override=300)),
         (tied, McConfig(epsilon=0.2, seed=6, k_override=100)),
     ):
         trials = 120
         result = evaluate_mc_scheme(inst, config, trials)
+        k, slack = config.k_for(3), _slack(config.epsilon, 3)
+        solve = FaceCache().solve
         emitted = []
         for seed in np.random.SeedSequence(config.seed).spawn(trials):
             trial_rng = np.random.default_rng(seed)
             s_idx = int(trial_rng.choice(len(inst.states), p=inst.masses))
-            sig = mc_signal(inst, inst.states[s_idx].id, config, rng=trial_rng)
-            emitted.append((s_idx, pairs.index(sig.payload)))
+            p, weights, support, _, objective = _solve_and_draw(
+                inst, s_idx, k, slack, trial_rng, solve
+            )
+            _, cold = solve_ordering_lp(inst.value_matrix[support], weights[support], slack)
+            assert objective == pytest.approx(cold, abs=1e-9)
+            emitted.append((s_idx, p))
         posterior_sum = {}
         for s_idx, p in emitted:
             total, count = posterior_sum.get(p, (np.zeros(3), 0))
@@ -208,3 +219,26 @@ def test_evaluate_example3_with_formula_sample_count():
     _, opt = brute_force_public_optimal(inst)
     assert result.estimate >= opt - 0.2 - 3 * result.std_error
 
+
+
+def test_evaluator_reuses_certified_faces():
+    inst = make_example3(0.15)
+    config = McConfig(epsilon=0.15, seed=21)  # formula sample count
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        result = evaluate_mc_scheme(inst, config, trials=200)
+    assert solver.call_count <= 3
+    _, opt = brute_force_public_optimal(inst)
+    assert result.estimate >= opt - 0.15 - 3 * result.std_error
+
+    # the second instance of acceptance criterion 2: a face that holds only
+    # the rows with a nonzero dual, not every tight row, never certifies here
+    rng = np.random.default_rng(2024)
+    for _ in range(2):
+        masses = rng.dirichlet(np.ones(50))
+        values = rng.random((50, 3))
+    inst = KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s}", float(m), tuple(v)) for s, (m, v) in enumerate(zip(masses, values))
+    ))
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        evaluate_mc_scheme(inst, McConfig(epsilon=0.2, seed=7001), trials=300)
+    assert solver.call_count <= 10
