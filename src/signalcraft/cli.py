@@ -417,8 +417,7 @@ def cmd_compare(args) -> list[ExperimentRecord]:
             _, rev = public_exact.solve_optimal_public(instance)
         elif name == "private":
             rev = private.run_private_scheme(
-                instance, eps=args.epsilon, delta=args.delta, seed=args.seed,
-                trials=1,
+                instance, eps=args.epsilon, delta=args.delta, trials=1
             ).aggregate_revenue
         else:
             raise ValidationError(f"unknown scheme {name!r} in --schemes")
@@ -436,7 +435,7 @@ def cmd_compare(args) -> list[ExperimentRecord]:
         ExperimentRecord(
             "compare",
             _hash_instance(instance),
-            args.seed,
+            None,
             {"schemes": args.schemes, "epsilon": args.epsilon, "delta": args.delta},
             {name: rev for name, rev in rows},
         )
@@ -531,7 +530,6 @@ def build_parser() -> _Parser:
     p.add_argument("--schemes", default="full,none,optimal,private")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 

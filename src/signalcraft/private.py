@@ -10,8 +10,9 @@ dominant strategy play it truthfully.
 
 The per-state plan builds such an auxiliary u as a two-point mixture of
 support profiles, books the mixture mass against those profiles' prior
-masses, and prices the whole scheme by exact worst-case best-response
-analysis of the uninformed bidder.
+masses, and certifies each plan by exact worst-case best-response analysis of
+the uninformed bidder.  The scheme's revenue is that of the scheme as played,
+lent mass included, computed exactly over its finite outcome distribution.
 """
 
 from __future__ import annotations
@@ -150,16 +151,17 @@ class TwoProfileStructure:
         return float(np.delete(u, self.uninformed).max())
 
 
+def _price_with_bid(profile, j: int, b: float) -> float:
+    """Second price when bidder j bids b and everyone else bids their value."""
+    bids = np.asarray(profile, dtype=float).copy()
+    bids[j] = b
+    return max2(bids)
+
+
 def _revenue_at_bid(structure: TwoProfileStructure, b: float) -> float:
-    total = 0.0
-    for mass, profile in (
-        (1.0 - structure.delta, structure.v),
-        (structure.delta, structure.u),
-    ):
-        bids = np.asarray(profile, dtype=float).copy()
-        bids[structure.uninformed] = b
-        total += mass * max2(bids)
-    return total
+    return (1.0 - structure.delta) * _price_with_bid(
+        structure.v, structure.uninformed, b
+    ) + structure.delta * _price_with_bid(structure.u, structure.uninformed, b)
 
 
 def worst_bne_revenue_and_bid(structure: TwoProfileStructure) -> tuple[float, float]:
@@ -391,6 +393,11 @@ class PrivateSchemePlan:
 
 @dataclass(frozen=True)
 class PrivateSchemeResult:
+    """``aggregate_revenue`` is the exact revenue of the scheme as played, lent
+    mass included; ``simulated_revenue`` and ``simulated_se`` come from
+    ``trials`` seeded draws from the same finite distribution.  ``registry``
+    maps each lending profile to its (consumer state id, mass) grants."""
+
     plans: tuple[PrivateSchemePlan, ...]
     aggregate_revenue: float
     simulated_revenue: float
@@ -402,6 +409,15 @@ class PrivateSchemeResult:
 
 def _profile_key(values) -> tuple[float, ...]:
     return tuple(round(float(x), 12) for x in values)
+
+
+def _profile_masses(instance: KvsInstance):
+    """Each state's profile key in state order, and each profile's total mass."""
+    keys = [_profile_key(state.values) for state in instance.states]
+    totals: dict[tuple[float, ...], float] = {}
+    for key, state in zip(keys, instance.states):
+        totals[key] = totals.get(key, 0.0) + state.mass
+    return keys, totals
 
 
 def run_private_scheme(
@@ -419,9 +435,13 @@ def run_private_scheme(
     Auxiliary ingredients are booked against their profiles' prior masses in
     state-id order, shrinking delta when a profile's budget runs short; when
     an ingredient has no prior mass at all, an existing support profile that
-    forms a valid structure stands in.  If no option certifies the state's
-    per-state revenue target, the full-support assumption is violated and an
-    error is raised.
+    forms a valid structure stands in.  A state without prior mass is
+    revealed.  If no option certifies a state's per-state revenue target, the
+    full-support assumption is violated and an error is raised.
+
+    The reported revenue is the exact revenue of the scheme as played, lent
+    mass included; the simulated revenue is a seeded draw of ``trials``
+    outcomes from the same distribution.
     """
     problems = instance.validate()
     if problems:
@@ -430,37 +450,26 @@ def run_private_scheme(
         raise ValidationError(f"delta must lie in (0, 1), got {delta}")
     if eps <= 0.0:
         raise ValidationError(f"eps must be positive, got {eps}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
 
     rho_star, i_star, rho_sstar, i_sstar = strongest_bidders(instance)
     supports = bidder_supports(instance)
-    masses = {}
-    for state in instance.states:
-        key = _profile_key(state.values)
-        masses[key] = masses.get(key, 0.0) + state.mass
+    keys, totals = _profile_masses(instance)
     # half of each profile's mass stays in its own information set
-    capacity = {k: 0.5 * m for k, m in masses.items()}
+    capacity = {k: 0.5 * m for k, m in totals.items()}
     registry: dict[tuple[float, ...], list[tuple[str, float]]] = {}
 
-    def take_capacity(key, amount, consumer):
-        capacity[key] -= amount
-        registry.setdefault(key, []).append((consumer, amount))
-
     plans = []
-    order = sorted(range(len(instance.states)), key=lambda s: instance.states[s].id)
-    for s_idx in order:
-        state = instance.states[s_idx]
+    for state in sorted(instance.states, key=lambda s: s.id):
         v = np.asarray(state.values, dtype=float)
         v1 = float(v.max())
         target = v1 - max(v[i_star] - rho_sstar, 0.0) - eps
-        full_reveal_rev = max2(v) if instance.n >= 2 else 0.0
-
         best = PrivateSchemePlan(
             state.id, None, "full_reveal", None, None, None,
-            full_reveal_rev, None, target,
+            max2(v) if instance.n >= 2 else 0.0, None, target,
         )
-        case_id = None
-        aux_available = False
-        if v1 > _TIE_TOL and instance.n >= 2:
+        if state.mass > 0.0 and v1 > _TIE_TOL and instance.n >= 2:
             case_id = classify_case(v, i_star, rho_sstar)
             candidate = None
             try:
@@ -469,164 +478,112 @@ def run_private_scheme(
                     supports=supports,
                 )
                 k1, k2 = _profile_key(aux.w1), _profile_key(aux.w2)
-                avail1 = capacity.get(k1, 0.0)
-                avail2 = capacity.get(k2, 0.0)
-                if avail1 > 0.0 and avail2 > 0.0 and state.mass > 0.0:
-                    want = state.mass * delta / (1.0 - delta)
-                    m1, m2 = aux.q * want, (1.0 - aux.q) * want
-                    # never drain a budget: the floor is delta-independent,
-                    # so each consumer takes at most half of what is left
-                    scale = min(1.0, 0.5 * avail1 / m1, 0.5 * avail2 / m2)
-                    got = want * scale
-                    d_eff = got / (state.mass + got)
-                    structure = TwoProfileStructure(
-                        tuple(v), aux.u, aux.uninformed, d_eff
+                if capacity.get(k1, 0.0) > 0.0 and capacity.get(k2, 0.0) > 0.0:
+                    candidate = _priced(
+                        state, v, aux.u, aux.uninformed,
+                        [(k1, aux.q), (k2, 1.0 - aux.q)],
+                        capacity, delta, case_id, "auxiliary", target,
                     )
-                    rev, bid = worst_bne_revenue_and_bid(structure)
-                    candidate = (
-                        PrivateSchemePlan(
-                            state.id, case_id, "auxiliary", aux.uninformed,
-                            aux.u, d_eff, rev, bid, target,
-                        ),
-                        [(k1, m1 * scale), (k2, m2 * scale)],
-                    )
-            except (StructureError, ValidationError):
-                candidate = None
+            except ValidationError:
+                pass
+            if candidate is None:
+                candidate = _best_fallback(state, v, capacity, delta, case_id, target)
 
             if candidate is None:
-                fb = _best_fallback(
-                    instance, state, v, masses, capacity, delta, case_id, target
-                )
-                if fb is not None:
-                    candidate = fb
-
-            if candidate is not None:
-                aux_available = True
-                plan, allocations = candidate
-                if plan.worst_revenue > best.worst_revenue:
-                    best = plan
-                    for key, amount in allocations:
-                        if amount > 0:
-                            take_capacity(key, amount, state.id)
-
-            if not aux_available and best.worst_revenue < target - 1e-9:
-                raise FullSupportError(
-                    f"state {state.id}: auxiliary ingredients have zero prior "
-                    "mass and no support profile can stand in; the prior does "
-                    "not cover the full support lattice"
-                )
+                if best.worst_revenue < target - 1e-9:
+                    raise FullSupportError(
+                        f"state {state.id}: auxiliary ingredients have zero prior "
+                        "mass and no support profile can stand in; the prior does "
+                        "not cover the full support lattice"
+                    )
+            elif candidate[0].worst_revenue > best.worst_revenue:
+                best, grants = candidate
+                for key, amount in grants:
+                    if amount > 0:
+                        capacity[key] -= amount
+                        registry.setdefault(key, []).append((state.id, amount))
         plans.append(best)
 
-    by_id = {p.state_id: p for p in plans}
-    aggregate = sum(
-        instance.states[s].mass * by_id[instance.states[s].id].worst_revenue
-        for s in range(len(instance.states))
-    )
-
-    sim_rev, sim_se = _simulate(instance, by_id, registry, seed, trials)
+    weights, outcomes = _played(instance, keys, totals, plans, registry)
+    p = weights / weights.sum()
+    draws = np.random.default_rng(seed).choice(outcomes.size, size=trials, p=p)
+    sample = outcomes[draws]
+    se = float(sample.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return PrivateSchemeResult(
-        tuple(plans), float(aggregate), sim_rev, sim_se, trials, seed,
+        tuple(plans), float(weights @ outcomes / weights.sum()),
+        float(sample.mean()), se, trials, seed,
         {k: list(v) for k, v in registry.items()},
     )
 
 
-def _best_fallback(instance, state, v, masses, capacity, delta, case_id, target):
+def _priced(state, v, u, j, ingredients, capacity, delta, case_id, choice, target):
+    """(plan, grants) for keeping bidder j uninformed against auxiliary u.
+
+    ``ingredients`` lists (profile key, share of u's mass).  Each ingredient
+    takes at most half of what is left of its profile's capacity, shrinking
+    delta when one runs short: the floor is delta-independent, so no budget is
+    ever drained.
+    """
+    want = state.mass * delta / (1.0 - delta)
+    wanted = [(key, share * want) for key, share in ingredients]
+    scale = min(1.0, *(0.5 * capacity[key] / m for key, m in wanted))
+    got = want * scale
+    d_eff = got / (state.mass + got)
+    rev, bid = worst_bne_revenue_and_bid(TwoProfileStructure(tuple(v), u, j, d_eff))
+    plan = PrivateSchemePlan(state.id, case_id, choice, j, u, d_eff, rev, bid, target)
+    return plan, [(key, m * scale) for key, m in wanted]
+
+
+def _best_fallback(state, v, capacity, delta, case_id, target):
     """Stand-in auxiliary: an existing support profile in which some bidder
     other than the top holder of v has the unique maximum."""
     v1 = float(v.max())
-    best_plan = None
-    best_alloc = None
-    for key, mass in masses.items():
-        if mass <= 0.0 or capacity.get(key, 0.0) <= 0.0:
+    best = None
+    for key, left in capacity.items():
+        if left <= 0.0:
             continue
         u = np.asarray(key, dtype=float)
-        if u.size != v.size:
-            continue
         j = int(np.argmax(u))
         u_others = np.delete(u, j)
         if not (u[j] > u_others.max() and u_others.max() < v1):
             continue
         if np.delete(v, j).max() < v1 - _TIE_TOL:
-            continue  # j holds the unique top of v; keeping him dark is useless
-        if state.mass <= 0.0:
-            continue
-        want = state.mass * delta / (1.0 - delta)
-        got = min(want, 0.5 * capacity[key])
-        d_eff = got / (state.mass + got)
-        structure = TwoProfileStructure(tuple(v), tuple(u), j, d_eff)
+            continue  # j holds the unique top of v; keeping j dark is useless
         try:
-            rev, bid = worst_bne_revenue_and_bid(structure)
+            candidate = _priced(
+                state, v, key, j, [(key, 1.0)], capacity, delta, case_id,
+                "fallback", target,
+            )
         except StructureError:
             continue
-        plan = PrivateSchemePlan(
-            state.id, case_id, "fallback", j, tuple(u), d_eff, rev, bid, target
-        )
-        if best_plan is None or plan.worst_revenue > best_plan.worst_revenue:
-            best_plan, best_alloc = plan, [(key, got)]
-    if best_plan is None:
-        return None
-    return best_plan, best_alloc
+        if best is None or candidate[0].worst_revenue > best[0].worst_revenue:
+            best = candidate
+    return best
 
 
-def _donations(instance, registry) -> dict[str, list[tuple[str, float]]]:
-    """State id -> (consumer, mass) slices: each registry grant on a profile is
-    charged to that profile's states in proportion to their masses."""
-    states_by_key: dict[tuple[float, ...], list] = {}
-    for state in instance.states:
-        states_by_key.setdefault(_profile_key(state.values), []).append(state)
-    donated_out: dict[str, list[tuple[str, float]]] = {}
-    for key, consumers in registry.items():
-        group = states_by_key.get(key, [])
-        total = sum(s.mass for s in group)
-        for state in group:
-            share = state.mass / total
-            for consumer, amount in consumers:
-                donated_out.setdefault(state.id, []).append((consumer, amount * share))
-    return donated_out
+def _played(instance, keys, totals, plans, registry):
+    """The scheme as played, as a finite distribution (weights, outcomes).
 
-
-def _simulate(instance, plans_by_id, registry, seed, trials):
-    """Seeded simulation of the designed scheme's revenue.
-
-    Each realized state plays either its own information set (uninformed
-    bidder at his worst best response, everyone else truthful) or, for the
-    slice of its mass consumed by a consumer state's auxiliary, that
-    consumer's mixture game where the remaining bidders bid the mixture
-    posterior.
+    Each state keeps the mass it does not lend, playing its own information
+    set (the uninformed bidder at the worst best response, everyone else
+    truthful).  Each grant on a profile is lent by that profile's states in
+    proportion to their masses, and a lent slice plays its consumer's mixture
+    game, where the remaining bidders bid the mixture profile u.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    donated_out = _donations(instance, registry)
-
-    def slice_revenue(consumer_id: str) -> float:
-        plan = plans_by_id[consumer_id]
-        bids = np.asarray(plan.u, dtype=float).copy()
-        bids[plan.uninformed] = plan.worst_bid
-        return max2(bids)
-
-    def own_revenue(state) -> float:
-        plan = plans_by_id[state.id]
-        if plan.choice == "full_reveal":
-            return plan.worst_revenue
-        bids = np.asarray(state.values, dtype=float).copy()
-        bids[plan.uninformed] = plan.worst_bid
-        return max2(bids)
-
-    outcomes = []
+    by_id = {plan.state_id: plan for plan in plans}
     weights = []
-    for state in instance.states:
-        gifts = donated_out.get(state.id, [])
-        gifted = sum(a for _, a in gifts)
-        weights.append(max(state.mass - gifted, 0.0))
-        outcomes.append(own_revenue(state))
-        for consumer, amount in gifts:
+    outcomes = []
+    for key, state in zip(keys, instance.states):
+        plan = by_id[state.id]
+        grants = registry.get(key, [])
+        share = state.mass / totals[key] if grants else 0.0
+        lent = [(by_id[consumer], amount * share) for consumer, amount in grants]
+        weights.append(max(state.mass - sum(a for _, a in lent), 0.0))
+        own = plan.worst_revenue
+        if plan.choice != "full_reveal":
+            own = _price_with_bid(state.values, plan.uninformed, plan.worst_bid)
+        outcomes.append(own)
+        for c, amount in lent:
             weights.append(amount)
-            outcomes.append(slice_revenue(consumer))
-
-    weights = np.asarray(weights)
-    outcomes = np.asarray(outcomes)
-    draws = rng.choice(outcomes.size, size=trials, p=weights / weights.sum())
-    sample = outcomes[draws]
-    se = float(sample.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return float(sample.mean()), se
+            outcomes.append(_price_with_bid(c.u, c.uninformed, c.worst_bid))
+    return np.asarray(weights), np.asarray(outcomes)

@@ -61,6 +61,8 @@ def test_compare_orders_by_revenue(tmp_path):
     assert revenue["private"] >= 0.90 - 1e-6
     ordered = [float(r["revenue"]) for r in rows]
     assert ordered == sorted(ordered, reverse=True)
+    # the private row is exact, so nothing in compare takes a seed
+    assert run("compare", "--instance", str(inst), "--seed", "1") == EXIT_USAGE
 
 
 def test_malformed_instance_exits_one(tmp_path, capsys):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from signalcraft.auction import max2
 from signalcraft.model import (
@@ -18,8 +20,9 @@ from signalcraft.private import (
     FullSupportError,
     StructureError,
     TwoProfileStructure,
-    _donations,
+    _played,
     _profile_key,
+    _profile_masses,
     build_auxiliary,
     check_theorem5_assumptions,
     classify_case,
@@ -321,6 +324,26 @@ def test_run_private_scheme_full_support_violation():
     )
     with pytest.raises(FullSupportError):
         run_private_scheme(inst, eps=0.05, delta=0.01, seed=0, trials=10)
+    # a bad trial count is rejected before the design would fail
+    with pytest.raises(ValidationError, match="trials"):
+        run_private_scheme(inst, eps=0.05, delta=0.01, seed=0, trials=0)
+
+
+def test_zero_mass_state_is_revealed():
+    # C repeats A's profile without prior mass: its full-reveal revenue is
+    # below its target, yet it lends nothing and consumes nothing
+    base = make_example3(0.1)
+    extra = KvsInstance(
+        n=3, states=base.states + (KvsState("C", 0.0, base.states[0].values),)
+    )
+    want = run_private_scheme(base, eps=0.05, delta=0.01, seed=2, trials=500)
+    got = run_private_scheme(extra, eps=0.05, delta=0.01, seed=2, trials=500)
+    plans = {p.state_id: p for p in got.plans}
+    assert [plans[p.state_id] for p in want.plans] == list(want.plans)
+    assert plans["C"].choice == "full_reveal"
+    assert plans["C"].worst_revenue < plans["C"].floor_target
+    assert all(c != "C" for grants in got.registry.values() for c, _ in grants)
+    assert got.aggregate_revenue == want.aggregate_revenue
 
 
 def test_run_private_scheme_respects_registry_budget():
@@ -366,8 +389,84 @@ def test_donations_match_per_key_state_scan():
             for i in range(len(profiles))
         ))
         result = run_private_scheme(inst, eps=0.05, delta=0.01, seed=trial, trials=200)
-        got = _donations(inst, result.registry)
-        assert got == donations_by_scanning_states(inst, result.registry)
+        keys, totals = _profile_masses(inst)
+        weights, _ = _played(inst, keys, totals, result.plans, result.registry)
+        donated_out = donations_by_scanning_states(inst, result.registry)
+        expected = []
+        for state in inst.states:
+            gifts = donated_out.get(state.id, [])
+            expected.append(max(state.mass - sum(a for _, a in gifts), 0.0))
+            expected.extend(a for _, a in gifts)
+        assert weights.tolist() == expected
         shared = Counter(profiles)
-        split += sum(shared[inst.states[inst.state_index[sid]].values] > 1 for sid in got)
+        split += sum(shared[state.values] > 1 for state in inst.states
+                     if state.id in donated_out)
     assert split > 0
+
+
+def test_exact_revenue_matches_simulation_on_625_profiles():
+    # the reported revenue once booked lent mass at the lender's own revenue
+    # and read 8.9 se above this simulation of the scheme as played
+    profiles = list(itertools.product([0.0, 0.25, 0.5, 0.75, 1.0], repeat=4))
+    masses = np.random.default_rng(66).dirichlet(np.ones(len(profiles)))
+    inst = KvsInstance(n=4, states=tuple(
+        KvsState(f"s{i:03d}", float(masses[i]), profiles[i])
+        for i in range(len(profiles))
+    ))
+    result = run_private_scheme(inst, eps=0.05, delta=0.01, seed=0, trials=4_000_000)
+    gap = abs(result.aggregate_revenue - result.simulated_revenue)
+    assert gap <= 4 * result.simulated_se
+
+
+def played_revenue_by_grants(instance, result):
+    """Exact revenue of the scheme as played, rebuilt per grant: each state
+    keeps its mass less its share of the grants on its profile, and each
+    grant's mass plays its consumer's mixture profile."""
+    plans = {p.state_id: p for p in result.plans}
+
+    def revenue(profile, plan):
+        bids = list(profile)
+        if plan.choice != "full_reveal":
+            bids[plan.uninformed] = plan.worst_bid
+        return sorted(bids)[-2]
+
+    group_mass = Counter()
+    for s in instance.states:
+        group_mass[_profile_key(s.values)] += s.mass
+    total = 0.0
+    for s in instance.states:
+        key = _profile_key(s.values)
+        lent = 0.0
+        if key in result.registry:
+            lent = sum(a for _, a in result.registry[key]) * s.mass / group_mass[key]
+        total += (s.mass - lent) * revenue(s.values, plans[s.id])
+    for grants in result.registry.values():
+        for consumer, amount in grants:
+            total += amount * revenue(plans[consumer].u, plans[consumer])
+    return total / sum(s.mass for s in instance.states)
+
+
+@st.composite
+def repeated_lattices(draw):
+    n = draw(st.integers(2, 3))
+    profiles = list(itertools.product(LATTICE, repeat=n))
+    profiles += draw(st.lists(st.sampled_from(profiles), max_size=6))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(profiles),
+                            max_size=len(profiles)))
+    weights[draw(st.integers(0, len(profiles) - 1))] += 1  # some state has mass
+    masses = np.array(weights, dtype=float) / sum(weights)
+    return KvsInstance(n=n, states=tuple(
+        KvsState(f"s{i:02d}", float(masses[i]), profiles[i])
+        for i in range(len(profiles))
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(repeated_lattices(), st.sampled_from([0.01, 0.1, 0.3]))
+def test_reported_revenue_is_the_played_revenue(inst, delta):
+    try:
+        result = run_private_scheme(inst, eps=0.05, delta=delta, seed=0, trials=10)
+    except FullSupportError:
+        assume(False)  # a positive-mass state needs a profile without mass
+    expected = played_revenue_by_grants(inst, result)
+    assert result.aggregate_revenue == pytest.approx(expected, abs=1e-12)
