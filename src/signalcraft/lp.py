@@ -8,10 +8,13 @@ pair), so the optimum is one linear program.  The exact optimal public scheme
 solves it on the prior masses; the sampled signaler solves it on an empirical
 distribution with its ordering constraints slackened.  Both call
 ``solve_ordering_lp``, which hands the LP to the HiGHS backend shipped with
-scipy and checks the solution before returning it.  The sampled scheme's
-evaluator solves the same LP thousands of times with drifting weights; its
-``FaceCache`` reuses an earlier optimum's face whenever a dual certificate
-proves it optimal for the new weights, and solves cold otherwise.
+scipy and checks the solution before returning it.  The sampled scheme
+solves the same LP thousands of times with drifting weights.  The face of
+one optimum (``optimal_face``) carries a dual certificate that proves or
+refutes its point's optimality for new weights: the signaler certifies its
+draws against the face at the prior masses, and the evaluator's
+``FaceCache`` reuses earlier optima's faces; both solve cold when no face
+is certified.
 
 scipy is imported on first use, not with this module, so that commands which
 solve no LP start without it.  ``linprog`` below is the one module-level name
@@ -67,6 +70,16 @@ def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]
     """
     phi, objective, _ = _OrderingLp(values).solve(np.asarray(weights, dtype=float), slack)
     return phi, objective
+
+
+def optimal_face(values, weights, slack: float) -> _Face:
+    """The optimal face of a cold solve of the ordering LP, whose
+    ``certify`` proves or refutes its point's optimality for other weights
+    on the same value profiles.  Weights must be positive."""
+    ordering = _OrderingLp(values)
+    w = np.asarray(weights, dtype=float)
+    phi, _, z = ordering.solve(w, slack)
+    return _Face(ordering, w[:, None] * phi, z, slack)
 
 
 @functools.cache
@@ -163,37 +176,60 @@ class _Face:
     and the ordering-row duals z <= 0 of that solve.  The profile prices
     y_s = min_p (c - A_ub^T z)(s, p) make (y, z) dual-feasible whatever the
     weights, so w.y + slack * sum(z) bounds every feasible c.x from below.
+
+    The face's point for weights w puts all of w_s on the column of a
+    profile with one face column.  Only the columns of split profiles are
+    solved for, by the pseudo-inverse of their row sums and the tight rows
+    (the tight rows net of the fixed columns), so the face costs memory
+    linear in the number of profiles.  This is the minimum-norm solution of
+    the whole face system whenever that system is consistent.
     """
 
     def __init__(self, lp: _OrderingLp, x: np.ndarray, z: np.ndarray, slack: float):
-        self.lp, self.slack = lp, slack
-        num_states, num_pairs = x.shape
-        self.cols = np.flatnonzero(x.ravel() > 0)
-        states, pairs = np.divmod(self.cols, num_pairs)
+        self.lp, self.slack, self.shape = lp, slack, x.shape
+        cols = np.flatnonzero(x.ravel() > 0)
+        states, pairs = np.divmod(cols, x.shape[1])
+        per_state = np.bincount(states, minlength=x.shape[0])
+        fixed = per_state[states] == 1
         tight = np.flatnonzero(lp.order_rows(x) >= slack - FEAS_TOL)
-        # the face system: row sums w, then the tight rows held at the slack
-        system = np.zeros((num_states + len(tight), len(self.cols)))
-        system[states, np.arange(len(self.cols))] = 1.0
-        system[num_states:] = -lp.diffs[states][:, tight].T * (
-            lp.row_pair[tight, None] == pairs
-        )
+
+        def tight_rows(s, p):
+            """Coefficients of columns (s, p) in the tight ordering rows."""
+            return -lp.diffs[s][:, tight].T * (lp.row_pair[tight, None] == p)
+
+        self.fixed_cols, self.fixed_states = cols[fixed], states[fixed]
+        self.fixed_rows = tight_rows(states[fixed], pairs[fixed])
+        self.split_cols, self.split_states = cols[~fixed], np.flatnonzero(per_state > 1)
+        # the split system: split row sums w, then the tight rows held at
+        # the slack less what the fixed columns put on them
+        system = np.vstack([
+            states[~fixed] == self.split_states[:, None],
+            tight_rows(states[~fixed], pairs[~fixed]),
+        ])
         pinv = np.linalg.pinv(system)
-        self.shape = x.shape
-        self.from_w = pinv[:, :num_states]
-        self.from_slack = slack * pinv[:, num_states:].sum(axis=1)
+        self.from_w = pinv[:, : len(self.split_states)]
+        self.from_rows = pinv[:, len(self.split_states) :]
         z = np.minimum(z, 0.0)
         reduced = -lp.gain.copy()
         np.add.at(reduced.T, lp.row_pair, (lp.diffs * z).T)
         self.y = reduced.min(axis=1)
         self.slack_price = slack * z.sum()
 
+    def point(self, w) -> np.ndarray:
+        """The face's joint mass x for weights w."""
+        x = np.zeros(self.shape)
+        fixed_w = w[self.fixed_states]
+        x.flat[self.fixed_cols] = fixed_w
+        x.flat[self.split_cols] = self.from_w @ w[self.split_states] + self.from_rows @ (
+            self.slack - self.fixed_rows @ fixed_w
+        )
+        return x
+
     def certify(self, w):
         """(phi, objective) of the face's point for weights w, or None when
         the certificate does not prove it optimal."""
         lp, slack = self.lp, self.slack
-        x = np.zeros(self.shape)
-        x.flat[self.cols] = self.from_w @ w + self.from_slack
-        phi = x / w[:, None]
+        phi = self.point(w) / w[:, None]
         if not phi.min() >= -FEAS_TOL:  # written so that NaN fails too
             return None
         phi = np.clip(phi, 0.0, None)

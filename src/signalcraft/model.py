@@ -100,6 +100,12 @@ class KvsInstance:
         return _frozen(np.array([s.values for s in self.states]))
 
     @cached_property
+    def prior_faces(self) -> dict:
+        """Optimal faces of the slackened ordering LP at the prior masses,
+        keyed by slack; the sampled signaler fills it on first use."""
+        return {}
+
+    @cached_property
     def state_index(self) -> dict[str, int]:
         """State id -> position in ``states`` (the first one, if ids repeat)."""
         index: dict[str, int] = {}

@@ -15,6 +15,15 @@ solution row is an optimal slot row for the planted state.  The prior mass
 vector, the value matrix and the state-id index are built once per instance;
 what still grows with |Theta| in one call is the multinomial draw of the
 K - 1 prior samples and the length-|Theta| weight vector.
+
+When K >= |Theta| a draw often hits every state.  Its LP then has the value
+profiles of the LP on the prior masses, with weights within O(1/sqrt(K)) of
+them, so the optimal face of that prior LP usually stays optimal.  Such a
+draw first tries that face, solved once per (instance, slack) and kept on
+the instance, and takes its point when a dual certificate proves it optimal
+for the sampled weights; otherwise it solves cold.  The face depends on the
+instance and the slack alone, so every output is still a function of the
+instance, the state, the config and the seed, whatever ran before.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction import max2
-from .lp import FaceCache, signal_space, solve_ordering_lp
+from .lp import FaceCache, SolverFailure, optimal_face, signal_space, solve_ordering_lp
 from .model import KvsInstance, Signal, ValidationError
 
 
@@ -81,6 +90,39 @@ def _draw_pair(
     return int(rng.choice(row.size, p=row / row.sum()))
 
 
+def _prior_face_solution(instance: KvsInstance, weights: np.ndarray, slack: float):
+    """(phi, objective) at the optimal face of the LP on every state at the
+    prior masses, when its dual certificate proves that point optimal for
+    ``weights`` (positive on every state); None otherwise.  The face is
+    solved once per (instance, slack) and kept on the instance, so what it
+    returns depends on nothing but its arguments."""
+    faces = instance.prior_faces
+    if slack not in faces:
+        try:
+            faces[slack] = optimal_face(instance.value_matrix, instance.masses, slack)
+        except SolverFailure:  # the caller's cold solve reports a real failure
+            faces[slack] = None
+    face = faces[slack]
+    return None if face is None else face.certify(weights)
+
+
+def _solve_sampled(
+    instance: KvsInstance, weights: np.ndarray, slack: float, solve=solve_ordering_lp
+):
+    """The sampled LP on the support of ``weights``: (support, phi, objective).
+
+    A draw that hits every state takes the prior face's point when it is
+    certified optimal; any other draw is handed to ``solve``, which is
+    ``solve_ordering_lp`` or a ``FaceCache``'s ``solve``."""
+    support = np.flatnonzero(weights)
+    found = None
+    if len(support) == len(weights):
+        found = _prior_face_solution(instance, weights, slack)
+    if found is None:
+        found = solve(instance.value_matrix[support], weights[support], slack)
+    return (support, *found)
+
+
 def _solve_and_draw(
     instance: KvsInstance,
     state_idx: int,
@@ -90,22 +132,33 @@ def _solve_and_draw(
     solve=solve_ordering_lp,
 ):
     """One signaling trial for a realized state: the drawn pair index, the
-    empirical weights, their support, the support's phi and the LP objective.
-    ``solve`` is ``solve_ordering_lp`` or a ``FaceCache``'s ``solve``."""
+    empirical weights, their support, the support's phi and the LP objective."""
     weights = _empirical_weights(instance.masses, state_idx, k, rng)
-    support = np.flatnonzero(weights)
-    phi, objective = solve(instance.value_matrix[support], weights[support], slack)
+    support, phi, objective = _solve_sampled(instance, weights, slack, solve)
     pair_idx = _draw_pair(phi, support, state_idx, rng)
     return pair_idx, weights, support, phi, objective
 
 
 @dataclass
 class SignalDetails:
+    """One signaling call: the signal, the empirical weights over every
+    state, the support they put weight on, the solved phi of the support's
+    states, the LP objective and the sample count K."""
+
     signal: Signal
     weights: np.ndarray
-    phi: np.ndarray
+    support: np.ndarray
+    support_phi: np.ndarray
     lp_objective: float
     k: int
+
+    @property
+    def phi(self) -> np.ndarray:
+        """phi with one row per instance state, zero off the support; built
+        on each read."""
+        full = np.zeros((len(self.weights), self.support_phi.shape[1]))
+        full[self.support] = self.support_phi
+        return full
 
 
 def mc_signal(
@@ -117,10 +170,14 @@ def mc_signal(
 ):
     """One signaling invocation for a realized state.
 
-    Draws the empirical distribution, solves the relaxed LP fresh on the
-    states it puts weight on (no caching across calls: the guarantee is per
-    invocation), and samples the signal from the solved row of the realized
-    state.  With ``detail`` the returned phi has one row per instance state,
+    Draws the empirical distribution, solves the relaxed LP on the states it
+    puts weight on, and samples the signal from the solved row of the
+    realized state.  A draw that hits every state takes the instance's prior
+    face point when it is certified optimal (see the module docstring); any
+    other draw is solved cold.  Nothing is carried from one call to the next
+    but that face, which depends on the instance and the slack alone, so the
+    guarantee stays per invocation.  With ``detail`` the result keeps the
+    support's phi and indices; its ``phi`` has one row per instance state,
     zero off the support.
     """
     state_idx = instance.state_index.get(state_id)
@@ -137,9 +194,7 @@ def mc_signal(
     )
     signal = Signal.pair(*signal_space(instance.n)[pair_idx])
     if detail:
-        full = np.zeros((len(weights), phi.shape[1]))
-        full[support] = phi
-        return SignalDetails(signal, weights, full, objective, k)
+        return SignalDetails(signal, weights, support, phi, objective, k)
     return signal
 
 
@@ -164,14 +219,16 @@ def evaluate_mc_scheme(
     the mean over trials of the second-highest posterior value at the
     emitted signal.  Each trial draws from its own spawned seed.
 
-    The trials share one ``FaceCache``: a trial whose sampled states repeat
-    an earlier trial's reuses an optimal face of that LP when a dual
-    certificate proves it optimal for the new weights, and solves cold
-    otherwise.  Every trial's phi is an optimum of its own LP, but where the
-    LP has several optima a reused face may pick another one than the cold
-    solve inside ``mc_signal``, so replaying the trials through
-    ``mc_signal`` need not give the same estimate.  The cache lives for one
-    call, so the estimate is still a function of the seed alone.
+    Each trial solves as ``mc_signal`` does, prior face first, but a draw
+    the prior face does not serve goes to one ``FaceCache`` that the trials
+    share: a trial whose sampled states repeat an earlier trial's reuses an
+    optimal face of that LP when a dual certificate proves it optimal for
+    the new weights, and solves cold otherwise.  Every trial's phi is an
+    optimum of its own LP, but where the LP has several optima a reused face
+    may pick another one than the cold solve inside ``mc_signal``, so
+    replaying the trials through ``mc_signal`` need not give the same
+    estimate.  The cache lives for one call, so the estimate is still a
+    function of the instance, the config and the trial count alone.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")

@@ -13,7 +13,7 @@ from signalcraft.lp import FEAS_TOL, FaceCache, SolverFailure, signal_space, sol
 from signalcraft.model import KvsInstance, KvsState, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import solve_optimal_public
-from signalcraft.public_mc import _slack, sample_count
+from signalcraft.public_mc import McConfig, _slack, _solve_sampled, evaluate_mc_scheme, mc_signal, sample_count
 
 EX3 = make_example3(0.1)
 
@@ -277,3 +277,100 @@ def test_face_with_a_wrong_dual_is_rejected(case, wrong, data):
         _, objective = cache.solve(values, w, slack)
     assert solver.call_count == 1
     assert objective == pytest.approx(cold, abs=1e-9)
+
+
+# --- the prior face of the sampled signaler ---------------------------------
+
+
+def instance_of(values, masses):
+    return KvsInstance(n=values.shape[1], states=tuple(
+        KvsState(f"s{s}", float(m), tuple(v)) for s, (m, v) in enumerate(zip(masses, values))
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drifting_weights())
+def test_prior_face_point_is_feasible_and_optimal(case):
+    # the first draw is the prior; the later ones sample every state
+    values, draws, slack = case
+    inst = instance_of(values, draws[0])
+    _solve_sampled(inst, draws[0], slack)  # builds the prior face
+    served = 0
+    for w in draws[1:]:
+        with counting_linprog() as solver:
+            support, phi, objective = _solve_sampled(inst, w, slack)
+        assert support.tolist() == list(range(len(w)))
+        assert max(lp._OrderingLp(values).residuals(w, phi, slack)) <= FEAS_TOL
+        _, cold = solve_ordering_lp(values, w, slack)
+        assert objective == pytest.approx(cold, abs=1e-9)
+        if solver.call_count == 0:  # served by the prior face: check its duality gap
+            served += 1
+            face = inst.prior_faces[slack]
+            assert -objective <= w @ face.y + face.slack_price + 1e-9
+    event(f"prior face served {served} of 3")
+
+
+@settings(max_examples=40, deadline=None)
+@given(drifting_weights(), st.data())
+def test_draw_missing_a_state_solves_cold(case, data):
+    values, draws, slack = case
+    assume(len(values) >= 2)
+    inst = instance_of(values, draws[0])
+    _solve_sampled(inst, draws[0], slack)  # builds the prior face
+    assert slack in inst.prior_faces
+    w = draws[1].copy()
+    w[data.draw(st.integers(0, len(w) - 1))] = 0.0
+    with counting_linprog() as solver:
+        support, _, objective = _solve_sampled(inst, w, slack)
+    assert solver.call_count == 1
+    assert len(support) == len(w) - 1
+    assert objective == pytest.approx(solve_ordering_lp(values[support], w[support], slack)[1], abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(drifting_weights(), st.data())
+def test_zero_mass_state_never_builds_a_prior_face(case, data):
+    values, draws, _ = case
+    assume(len(values) >= 2)
+    config = McConfig(epsilon=0.2, seed=data.draw(st.integers(0, 2**16)), k_override=5_000)
+    masses = draws[0].copy()
+    masses[data.draw(st.integers(0, len(masses) - 1))] = 0.0
+    for prior, builds in ((draws[0], True), (masses / masses.sum(), False)):
+        inst = instance_of(values, prior)
+        for state in inst.states:
+            if state.mass > 0:
+                mc_signal(inst, state.id, config)
+        evaluate_mc_scheme(inst, config, trials=5)
+        # K = 5,000 samples hit every state of positive mass
+        assert bool(inst.prior_faces) == builds
+
+
+def dense_face_point(ordering, x, slack, w):
+    """The face's point from the pseudo-inverse of its whole system: every
+    row sum, then every tight ordering row, over every face column."""
+    num_states, num_pairs = x.shape
+    cols = np.flatnonzero(x.ravel() > 0)
+    states, pairs = np.divmod(cols, num_pairs)
+    tight = np.flatnonzero(ordering.order_rows(x) >= slack - FEAS_TOL)
+    system = np.zeros((num_states + len(tight), len(cols)))
+    system[states, np.arange(len(cols))] = 1.0
+    system[num_states:] = -ordering.diffs[states][:, tight].T * (
+        ordering.row_pair[tight, None] == pairs
+    )
+    point = np.zeros(x.shape)
+    point.flat[cols] = np.linalg.pinv(system) @ np.concatenate([w, np.full(len(tight), slack)])
+    return point
+
+
+@settings(max_examples=60, deadline=None)
+@given(drifting_weights())
+def test_reduced_face_point_matches_the_dense_one(case):
+    values, draws, slack = case
+    ordering = lp._OrderingLp(values)
+    phi, _, z = ordering.solve(draws[0], slack)
+    x = draws[0][:, None] * phi
+    face = lp._Face(ordering, x, z, slack)
+    # where the face system is consistent both are its minimum-norm solution
+    for w in draws:
+        if w is draws[0] or face.certify(w) is not None:
+            assert np.abs(face.point(w) - dense_face_point(ordering, x, slack, w)).max() <= 1e-12

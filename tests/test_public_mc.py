@@ -62,14 +62,20 @@ def test_mc_signal_unknown_state():
 
 
 def signal_by_scanning_states(instance, state_id, config, rng):
-    """mc_signal rebuilding the masses, the state lookup and the support's
-    values from the state objects on every call."""
+    """mc_signal rebuilding the masses, the state lookup, the prior face and
+    the support's values from the state objects on every call.  Like
+    mc_signal, a draw that hits every state takes the prior face's point when
+    it is certified, and any other draw is solved cold."""
     state_idx = next(i for i, s in enumerate(instance.states) if s.id == state_id)
     masses = np.array([s.mass for s in instance.states])
+    slack = _slack(config.epsilon, instance.n)
     weights = _empirical_weights(masses, state_idx, config.k_for(instance.n), rng)
     support = np.flatnonzero(weights)
     values = np.array([instance.states[s].values for s in support], dtype=float)
-    phi, _ = solve_ordering_lp(values, weights[support], _slack(config.epsilon, instance.n))
+    found = None
+    if len(support) == len(instance.states):
+        found = lp.optimal_face(values, masses, slack).certify(weights)
+    phi, _ = found or solve_ordering_lp(values, weights[support], slack)
     return Signal.pair(*signal_space(instance.n)[_draw_pair(phi, support, state_idx, rng)])
 
 
@@ -90,6 +96,75 @@ def test_mc_signal_matches_per_call_state_scan():
         got = mc_signal(inst, state_id, config, rng=np.random.default_rng(call))
         want = signal_by_scanning_states(inst, state_id, config, np.random.default_rng(call))
         assert got == want
+
+
+def tied_instance(seed, num_states):
+    rng = np.random.default_rng(seed)
+    masses = rng.dirichlet(np.ones(num_states))
+    values = rng.choice([0.0, 0.5, 1.0], size=(num_states, 3))  # ties
+    return KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s}", float(m), tuple(map(float, v)))
+        for s, (m, v) in enumerate(zip(masses, values))
+    ))
+
+
+def test_mc_signal_does_not_depend_on_call_history():
+    # formula K: every draw hits all 30 states, so each call may be served by
+    # the instance's prior face, which must not remember earlier calls
+    inst = tied_instance(3, 30)
+    calls = [(inst.states[s].id, McConfig(epsilon=0.2, seed=s)) for s in range(8)]
+    first = [
+        mc_signal(tied_instance(3, 30), state_id, config, detail=True)
+        for state_id, config in calls
+    ]
+    rng = np.random.default_rng(4)
+    for call in range(50):
+        state_id = inst.states[int(rng.integers(30))].id
+        mc_signal(inst, state_id, McConfig(epsilon=(0.2, 0.3)[call % 2], seed=100 + call))
+    assert len(inst.prior_faces) == 2
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        later = [mc_signal(inst, state_id, config, detail=True) for state_id, config in calls]
+    assert solver.call_count < len(calls)  # some calls were served by the face
+    for a, b in zip(first, later):
+        assert len(a.support) == 30
+        assert (a.signal, a.lp_objective) == (b.signal, b.lp_objective)
+
+
+def test_first_call_on_many_states_builds_a_linear_size_face():
+    num_states = 2000
+    values = np.random.default_rng(5).random((num_states, 3))
+    inst = KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s}", 1.0 / num_states, tuple(v)) for s, v in enumerate(values)
+    ))
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        got = mc_signal(inst, "s0", McConfig(epsilon=0.2, seed=0), detail=True)
+    assert len(got.support) == num_states
+    assert solver.call_count <= 2  # the prior LP, then a cold solve if refuted
+    face = inst.prior_faces[_slack(0.2, 3)]
+    stored = sum(a.size for a in vars(face).values() if isinstance(a, np.ndarray))
+    assert stored <= 30 * num_states  # a dense face system would hold millions
+
+
+def test_prior_lp_failure_leaves_every_draw_to_a_cold_solve(monkeypatch):
+    inst = tied_instance(3, 30)
+    real, calls = lp.linprog, []
+
+    def first_fails(*args, **kwargs):  # the first solve is the prior LP's
+        res = real(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 1:
+            res.status, res.message = 4, "numerical difficulties"
+        return res
+
+    monkeypatch.setattr(lp, "linprog", first_fails)
+    slack = _slack(0.2, 3)
+    for seed in range(2):
+        got = mc_signal(inst, "s0", McConfig(epsilon=0.2, seed=seed), detail=True)
+        assert len(got.support) == 30
+        _, cold = solve_ordering_lp(inst.value_matrix, got.weights, slack)
+        assert got.lp_objective == pytest.approx(cold, abs=1e-9)
+    assert inst.prior_faces == {slack: None}
+    assert len(calls) == 1 + 2 * 2  # the failed prior solve, then a cold solve and the check's
 
 
 def test_planted_slot_preserves_prior_distribution():
@@ -133,6 +208,8 @@ def test_emitted_signal_satisfies_slackened_ordering():
         )
         w = details.weights
         phi = details.phi
+        assert np.array_equal(phi[details.support], details.support_phi)
+        assert not phi[w == 0].any()
         for p, (i, j) in enumerate(pairs):
             post = np.array(
                 [float((w * phi[:, p]) @ values[:, b]) for b in range(3)]
