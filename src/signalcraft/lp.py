@@ -11,10 +11,12 @@ distribution with its ordering constraints slackened.  Both call
 scipy and checks the solution before returning it.  The sampled scheme
 solves the same LP thousands of times with drifting weights.  The face of
 one optimum (``optimal_face``) carries a dual certificate that proves or
-refutes its point's optimality for new weights: the signaler certifies its
-draws against the face at the prior masses, and the evaluator's
-``FaceCache`` reuses earlier optima's faces; both solve cold when no face
-is certified.
+refutes its point's optimality for new weights, also for weights that leave
+some profiles at 0, which it certifies on the profiles of positive weight
+alone: the signaler certifies its draws against the face at the prior
+masses and then against a fixed family of faces behind it, and the
+evaluator's ``FaceCache`` reuses earlier optima's faces; both solve cold
+when no face is certified.
 
 scipy is imported on first use, not with this module, so that commands which
 solve no LP start without it.  ``linprog`` below is the one module-level name
@@ -75,11 +77,16 @@ def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]
 def optimal_face(values, weights, slack: float) -> _Face:
     """The optimal face of a cold solve of the ordering LP, whose
     ``certify`` proves or refutes its point's optimality for other weights
-    on the same value profiles.  Weights must be positive."""
-    ordering = _OrderingLp(values)
+    on the same value profiles.  The LP is solved on the profiles of
+    positive weight; the others carry no face column, so a face point with
+    weight on them is never certified."""
+    values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    phi, _, z = ordering.solve(w, slack)
-    return _Face(ordering, w[:, None] * phi, z, slack)
+    support = np.flatnonzero(w)
+    phi, _, z = _OrderingLp(values[support]).solve(w[support], slack)
+    x = np.zeros((len(w), phi.shape[1]))
+    x[support] = w[support, None] * phi
+    return _Face(_OrderingLp(values), x, z, slack)
 
 
 @functools.cache
@@ -114,15 +121,17 @@ class _OrderingLp:
         self.gain = values[:, [j for _, j in signal_space(n)]]  # -c
         self.diffs = values[:, a] - values[:, b]
 
-    def order_rows(self, x: np.ndarray) -> np.ndarray:
-        """Left-hand side of every ordering row at joint mass x."""
-        return -(self.diffs * x[:, self.row_pair]).sum(axis=0)
+    def order_rows(self, x: np.ndarray, states=slice(None)) -> np.ndarray:
+        """Left-hand side of every ordering row at joint mass x, given on
+        ``states`` (every profile by default) and 0 on the others."""
+        return -(self.diffs[states] * x[:, self.row_pair]).sum(axis=0)
 
-    def residuals(self, w, phi, slack: float) -> tuple[float, float]:
+    def residuals(self, w, phi, slack: float, states=slice(None)) -> tuple[float, float]:
         """How far phi misses a row sum of 1, and how far its worst ordering
-        row exceeds the slack."""
+        row exceeds the slack, in the LP on ``states`` (every profile by
+        default), with w and phi given on those states."""
         row_gap = float(np.abs(phi.sum(axis=1) - 1.0).max())
-        return row_gap, float(self.order_rows(w[:, None] * phi).max()) - slack
+        return row_gap, float(self.order_rows(w[:, None] * phi, states).max()) - slack
 
     def solve(self, w, slack: float) -> tuple[np.ndarray, float, np.ndarray]:
         """A cold solve in phi form: (phi, objective, ordering-row duals)."""
@@ -227,16 +236,25 @@ class _Face:
 
     def certify(self, w):
         """(phi, objective) of the face's point for weights w, or None when
-        the certificate does not prove it optimal."""
+        the certificate does not prove it optimal.
+
+        Weights may be 0: the point is certified on the profiles of positive
+        weight alone, in the LP on those profiles, and phi has one row for
+        each of them in order.  That LP is the LP on every profile with the
+        others at weight 0, so the restriction of (y, z) to it is still
+        dual-feasible and the duality-gap test stays exact."""
         lp, slack = self.lp, self.slack
-        phi = self.point(w) / w[:, None]
+        support = np.flatnonzero(w)
+        x = self.point(w)[support]
+        w = w[support]
+        phi = x / w[:, None]
         if not phi.min() >= -FEAS_TOL:  # written so that NaN fails too
             return None
         phi = np.clip(phi, 0.0, None)
-        objective = float((w[:, None] * phi * lp.gain).sum())
+        objective = float((w[:, None] * phi * lp.gain[support]).sum())
         certified = (
-            max(lp.residuals(w, phi, slack)) <= FEAS_TOL
-            and -objective <= w @ self.y + self.slack_price + 1e-9
+            max(lp.residuals(w, phi, slack, support)) <= FEAS_TOL
+            and -objective <= w @ self.y[support] + self.slack_price + 1e-9
         )
         return (phi, objective) if certified else None
 

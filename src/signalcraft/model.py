@@ -106,6 +106,12 @@ class KvsInstance:
         return {}
 
     @cached_property
+    def face_families(self) -> dict:
+        """Fixed families of optimal faces tried after the prior face, keyed
+        by (slack, K); the sampled signaler fills it on first use."""
+        return {}
+
+    @cached_property
     def state_index(self) -> dict[str, int]:
         """State id -> position in ``states`` (the first one, if ids repeat)."""
         index: dict[str, int] = {}

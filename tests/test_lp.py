@@ -13,7 +13,16 @@ from signalcraft.lp import FEAS_TOL, FaceCache, SolverFailure, signal_space, sol
 from signalcraft.model import KvsInstance, KvsState, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import solve_optimal_public
-from signalcraft.public_mc import McConfig, _slack, _solve_sampled, evaluate_mc_scheme, mc_signal, sample_count
+from signalcraft.public_mc import (
+    McConfig,
+    _FaceFamily,
+    _prior_face,
+    _slack,
+    _solve_sampled,
+    evaluate_mc_scheme,
+    mc_signal,
+    sample_count,
+)
 
 EX3 = make_example3(0.1)
 
@@ -204,9 +213,10 @@ def test_relaxed_exact_proportions_close_to_exact_lp():
 
 
 @st.composite
-def drifting_weights(draw):
-    """Value profiles (ties likely) and four weight vectors on all of them,
-    each from K prior slots, with K small or the formula's count."""
+def sampled_draws(draw):
+    """Value profiles (ties likely), four weight vectors on all of them,
+    each from K prior slots, with K small or the formula's count, the slack
+    and K."""
     n = draw(st.integers(2, 4))
     num_states = draw(st.integers(1, 8))
     values = np.array([
@@ -222,7 +232,12 @@ def drifting_weights(draw):
     draws = [
         (rng.multinomial(k - num_states, masses / masses.sum()) + 1) / k for _ in range(4)
     ]
-    return values, draws, _slack(eps, n)
+    return values, draws, _slack(eps, n), k
+
+
+def drifting_weights():
+    """``sampled_draws`` without K."""
+    return sampled_draws().map(lambda case: case[:3])
 
 
 def counting_linprog():
@@ -247,12 +262,15 @@ def test_reused_face_matches_a_cold_solve(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(drifting_weights(), st.sampled_from(["perturbed", "foreign"]), st.data())
-def test_face_with_a_wrong_dual_is_rejected(case, wrong, data):
+@given(drifting_weights(), st.sampled_from(["perturbed", "foreign"]), st.booleans(), st.data())
+def test_face_with_a_wrong_dual_is_rejected(case, wrong, missing, data):
     values, draws, slack = case
-    w = draws[0]
-    ordering = lp._OrderingLp(values)
-    phi, cold, z = ordering.solve(w, slack)
+    w = draws[0].copy()
+    if missing:  # certified on the states of positive weight only
+        assume(len(w) >= 2)
+        w[data.draw(st.integers(0, len(w) - 1))] = 0.0
+    support = np.flatnonzero(w)
+    phi, cold, z = lp._OrderingLp(values[support]).solve(w[support], slack)
     if wrong == "perturbed":
         z = z + np.array(data.draw(st.lists(
             st.floats(-0.5, 0.5), min_size=len(z), max_size=len(z)
@@ -264,9 +282,15 @@ def test_face_with_a_wrong_dual_is_rejected(case, wrong, data):
         )))
         z = lp._OrderingLp(other).solve(np.full(len(other), 1 / len(other)), slack)[2]
     # the face's point is this solve's own optimum, so only the dual can fail
-    face = lp._Face(ordering, w[:, None] * phi, z, slack)
+    ordering = lp._OrderingLp(values)
+    x = np.zeros((len(w), phi.shape[1]))
+    x[support] = w[support, None] * phi
+    face = lp._Face(ordering, x, z, slack)
     assume(w @ face.y + face.slack_price < -cold - 1e-6)
     assert face.certify(w) is None
+    event(f"{wrong} dual, a state at weight 0: {missing}")
+    if missing:
+        return
 
     cache = FaceCache()
     cache.solve(values, w, slack)
@@ -288,43 +312,65 @@ def instance_of(values, masses):
     ))
 
 
+def serving_face(inst, w, k, slack):
+    """The first of the instance's faces built so far, the prior face and
+    then its family in order, that certifies w; None when none does."""
+    family = inst.face_families.get((slack, k))
+    faces = family.faces if family else [inst.prior_faces[slack]]
+    return next((face for face in faces if face.certify(w) is not None), None)
+
+
+def build_every_face(inst, k, slack):
+    """The prior face and its whole family, as draws that every face
+    refutes would build them; returns the faces in the order they are
+    tried."""
+    prior = _prior_face(inst, slack)
+    family = _FaceFamily.open(inst.value_matrix, inst.masses, prior, k, slack)
+    inst.face_families[slack, k] = family
+    while family is not None and family._grow():
+        pass
+    return family.faces if family else [prior]
+
+
 @settings(max_examples=60, deadline=None)
-@given(drifting_weights())
+@given(sampled_draws())
 def test_prior_face_point_is_feasible_and_optimal(case):
     # the first draw is the prior; the later ones sample every state
-    values, draws, slack = case
+    values, draws, slack, k = case
     inst = instance_of(values, draws[0])
-    _solve_sampled(inst, draws[0], slack)  # builds the prior face
+    _solve_sampled(inst, draws[0], k, slack)  # builds the prior face
     served = 0
     for w in draws[1:]:
-        with counting_linprog() as solver:
-            support, phi, objective = _solve_sampled(inst, w, slack)
+        support, phi, objective = _solve_sampled(inst, w, k, slack)
         assert support.tolist() == list(range(len(w)))
         assert max(lp._OrderingLp(values).residuals(w, phi, slack)) <= FEAS_TOL
         _, cold = solve_ordering_lp(values, w, slack)
         assert objective == pytest.approx(cold, abs=1e-9)
-        if solver.call_count == 0:  # served by the prior face: check its duality gap
+        face = serving_face(inst, w, k, slack)
+        if face is not None:  # served by that face: check its duality gap
             served += 1
-            face = inst.prior_faces[slack]
+            assert np.array_equal(face.certify(w)[0], phi)
             assert -objective <= w @ face.y + face.slack_price + 1e-9
-    event(f"prior face served {served} of 3")
+    event(f"a face served {served} of 3")
 
 
 @settings(max_examples=40, deadline=None)
-@given(drifting_weights(), st.data())
-def test_draw_missing_a_state_solves_cold(case, data):
-    values, draws, slack = case
+@given(sampled_draws(), st.data())
+def test_draw_missing_a_state_is_certified_or_solved_cold(case, data):
+    values, draws, slack, k = case
     assume(len(values) >= 2)
     inst = instance_of(values, draws[0])
-    _solve_sampled(inst, draws[0], slack)  # builds the prior face
-    assert slack in inst.prior_faces
+    faces = build_every_face(inst, k, slack)
     w = draws[1].copy()
     w[data.draw(st.integers(0, len(w) - 1))] = 0.0
+    refuted = all(face.certify(w) is None for face in faces)
     with counting_linprog() as solver:
-        support, _, objective = _solve_sampled(inst, w, slack)
-    assert solver.call_count == 1
-    assert len(support) == len(w) - 1
+        support, phi, objective = _solve_sampled(inst, w, k, slack)
+    assert solver.call_count == refuted
+    assert support.tolist() == np.flatnonzero(w).tolist()
     assert objective == pytest.approx(solve_ordering_lp(values[support], w[support], slack)[1], abs=1e-9)
+    assert max(lp._OrderingLp(values[support]).residuals(w[support], phi, slack)) <= FEAS_TOL
+    event("solved cold" if refuted else "certified")
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,9 +10,13 @@ from signalcraft.model import KvsInstance, KvsState, Signal, ValidationError, ma
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import signal_space
 from signalcraft.public_mc import (
+    FAMILY,
     McConfig,
     _draw_pair,
     _empirical_weights,
+    _FaceFamily,
+    _family_draws,
+    _prior_face,
     _slack,
     _solve_and_draw,
     evaluate_mc_scheme,
@@ -62,20 +66,25 @@ def test_mc_signal_unknown_state():
 
 
 def signal_by_scanning_states(instance, state_id, config, rng):
-    """mc_signal rebuilding the masses, the state lookup, the prior face and
-    the support's values from the state objects on every call.  Like
-    mc_signal, a draw that hits every state takes the prior face's point when
-    it is certified, and any other draw is solved cold."""
+    """mc_signal rebuilding the masses, the state lookup, the prior face, its
+    family and the support's values from the state objects on every call.
+    Like mc_signal, when K >= |Theta| and every state has mass, a draw takes
+    the point of the first certified face, the prior face and then its
+    family; any other draw is solved cold."""
     state_idx = next(i for i, s in enumerate(instance.states) if s.id == state_id)
     masses = np.array([s.mass for s in instance.states])
-    slack = _slack(config.epsilon, instance.n)
-    weights = _empirical_weights(masses, state_idx, config.k_for(instance.n), rng)
+    values = np.array([s.values for s in instance.states], dtype=float)
+    slack, k = _slack(config.epsilon, instance.n), config.k_for(instance.n)
+    weights = _empirical_weights(masses, state_idx, k, rng)
     support = np.flatnonzero(weights)
-    values = np.array([instance.states[s].values for s in support], dtype=float)
     found = None
-    if len(support) == len(instance.states):
-        found = lp.optimal_face(values, masses, slack).certify(weights)
-    phi, _ = found or solve_ordering_lp(values, weights[support], slack)
+    if k >= len(masses) and masses.all():
+        prior = lp.optimal_face(values, masses, slack)
+        found = prior.certify(weights)
+        if found is None:
+            family = _FaceFamily.open(values, masses, prior, k, slack)
+            found = family and family.certify(weights)
+    phi, _ = found or solve_ordering_lp(values[support], weights[support], slack)
     return Signal.pair(*signal_space(instance.n)[_draw_pair(phi, support, state_idx, rng)])
 
 
@@ -89,6 +98,8 @@ def test_mc_signal_matches_per_call_state_scan():
             KvsState(f"s{s}", float(m), tuple(map(float, v)))
             for s, (m, v) in enumerate(zip(masses, values))
         )))
+    # K = 100: draws on the 5- and 60-state instances try the faces, also
+    # when they miss a state; draws on the 400-state one are solved cold
     config = McConfig(epsilon=0.2, seed=0, k_override=100)
     for call in range(200):
         inst = instances[call % 3]
@@ -128,6 +139,93 @@ def test_mc_signal_does_not_depend_on_call_history():
     for a, b in zip(first, later):
         assert len(a.support) == 30
         assert (a.signal, a.lp_objective) == (b.signal, b.lp_objective)
+
+
+def test_face_family_does_not_depend_on_call_history():
+    # formula K on a tie-heavy instance: the prior face refutes some draws,
+    # and the family's faces serve them
+    slack, k = _slack(0.2, 3), sample_count(3, 0.2)
+    calls = [(f"s{s % 40}", McConfig(epsilon=0.2, seed=s)) for s in range(40)]
+    first = [
+        mc_signal(tied_instance(7, 40), state_id, config, detail=True)
+        for state_id, config in calls
+    ]
+
+    inst = tied_instance(7, 40)
+    rng = np.random.default_rng(9)
+    for call in range(50):
+        state_id = inst.states[int(rng.integers(40))].id
+        mc_signal(inst, state_id, McConfig(epsilon=0.2, seed=500 + call))
+    after_others = [mc_signal(inst, state_id, config, detail=True) for state_id, config in calls]
+
+    family = inst.face_families[slack, k]
+    while family._grow():  # every family draw settled: the whole family built
+        pass
+    assert 2 < len(family.faces) <= 1 + FAMILY
+    after_all = [mc_signal(inst, state_id, config, detail=True) for state_id, config in calls]
+
+    # the second family face or a later one served a call: every earlier
+    # face refuted it
+    assert any(
+        all(face.certify(d.weights) is None for face in family.faces[:2])
+        and any(face.certify(d.weights) is not None for face in family.faces[2:])
+        for d in first
+    )
+    for a, b, c in zip(first, after_others, after_all):
+        assert (a.signal, a.lp_objective) == (b.signal, b.lp_objective)
+        assert (a.signal, a.lp_objective) == (c.signal, c.lp_objective)
+
+    # the rule itself (a family draw gets a face only when every earlier
+    # face refutes it), two fresh instances and the instance that served
+    # the calls above all hold the same faces in the same order
+    fresh = tied_instance(7, 40)
+    faces = [lp.optimal_face(fresh.value_matrix, fresh.masses, slack)]
+    for draw in _family_draws(fresh.masses, k):
+        if all(face.certify(draw) is None for face in faces):
+            faces.append(lp.optimal_face(fresh.value_matrix, draw, slack))
+    families = [faces, family.faces]
+    for _ in range(2):
+        fresh = tied_instance(7, 40)
+        built = _FaceFamily.open(fresh.value_matrix, fresh.masses, _prior_face(fresh, slack), k, slack)
+        while built._grow():
+            pass
+        families.append(built.faces)
+    columns = [[(f.fixed_cols.tolist(), f.split_cols.tolist()) for f in faces] for faces in families]
+    assert all(c == columns[0] for c in columns)
+
+
+def random_instance(seed, num_states):
+    rng = np.random.default_rng(seed)
+    masses = rng.dirichlet(np.ones(num_states))
+    values = rng.random((num_states, 3))
+    return KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s}", float(m), tuple(v)) for s, (m, v) in enumerate(zip(masses, values))
+    ))
+
+
+def test_more_states_than_samples_never_tries_a_face():
+    inst = random_instance(1, 300)
+    config = McConfig(epsilon=0.2, seed=0, k_override=200)
+    rng = np.random.default_rng(3)
+    for call in range(5):
+        with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+            mc_signal(inst, f"s{int(rng.integers(300))}", config, rng=np.random.default_rng(call))
+        assert solver.call_count == 1
+    assert inst.prior_faces == {} and inst.face_families == {}
+
+
+def test_prior_face_that_certifies_no_family_draw_opens_no_family():
+    # K = |Theta| = 50: every K-sample draw misses many states
+    inst = random_instance(0, 50)
+    slack, k = _slack(0.2, 3), 50
+    prior = _prior_face(inst, slack)
+    assert all(prior.certify(d) is None for d in _family_draws(inst.masses, k))
+    config = McConfig(epsilon=0.2, seed=0, k_override=k)
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        for call in range(5):
+            mc_signal(inst, "s0", config, rng=np.random.default_rng(call))
+    assert inst.face_families == {(slack, k): None}
+    assert solver.call_count == 5  # one cold solve per call, none for faces
 
 
 def test_first_call_on_many_states_builds_a_linear_size_face():
