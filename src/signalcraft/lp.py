@@ -14,9 +14,9 @@ one optimum (``optimal_face``) carries a dual certificate that proves or
 refutes its point's optimality for new weights, also for weights that leave
 some profiles at 0, which it certifies on the profiles of positive weight
 alone: the signaler certifies its draws against the face at the prior
-masses and then against a fixed family of faces behind it, and the
-evaluator's ``FaceCache`` reuses earlier optima's faces; both solve cold
-when no face is certified.
+masses and then against a fixed family of faces behind it, which share the
+prior face's ``_OrderingLp``, and the evaluator's ``FaceCache`` reuses
+earlier optima's faces; both solve cold when no face is certified.
 
 scipy is imported on first use, not with this module, so that commands which
 solve no LP start without it.  ``linprog`` below is the one module-level name
@@ -74,19 +74,21 @@ def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]
     return phi, objective
 
 
-def optimal_face(values, weights, slack: float) -> _Face:
+def optimal_face(values, weights, slack: float, lp: _OrderingLp | None = None) -> _Face:
     """The optimal face of a cold solve of the ordering LP, whose
     ``certify`` proves or refutes its point's optimality for other weights
     on the same value profiles.  The LP is solved on the profiles of
     positive weight; the others carry no face column, so a face point with
-    weight on them is never certified."""
+    weight on them is never certified.  ``lp`` is the ``_OrderingLp`` of
+    ``values`` that the face keeps, so that faces on the same profiles can
+    share one; it is built when None."""
     values = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     support = np.flatnonzero(w)
     phi, _, z = _OrderingLp(values[support]).solve(w[support], slack)
     x = np.zeros((len(w), phi.shape[1]))
     x[support] = w[support, None] * phi
-    return _Face(_OrderingLp(values), x, z, slack)
+    return _Face(_OrderingLp(values) if lp is None else lp, x, z, slack)
 
 
 @functools.cache

@@ -22,14 +22,16 @@ sample hit has weight 0), so an optimal face of the LP on the prior masses
 usually stays optimal.  Every such draw first tries that face, solved once
 per (instance, slack) and kept on the instance, and takes its point on the
 sampled states when a dual certificate proves it optimal there.  A draw the
-prior face refutes tries, in a fixed order, a family of faces from up to
-FAMILY fixed K-sample draws of a generator with a constant seed; the faces
-are built lazily, one cold solve each, for the family draws that no
-earlier face certifies, and the family opens only if the prior face
+prior face refutes tries, in a fixed order, a family of at most
+FAMILY_FACES faces from the first FAMILY fixed K-sample draws of a
+generator with a constant seed.  Draws and faces are both built lazily: a
+family draw is drawn only when the family needs it, and it costs a cold
+solve only when no earlier face certifies it; the family draws no more
+once it holds FAMILY_FACES faces, and it opens only if the prior face
 certifies at least one of its draws.  A draw that no face serves is solved
-cold.  The faces depend on the
-instance, the slack and K alone, so every output is still a function of
-the instance, the state, the config and the seed, whatever ran before.
+cold.  The faces depend on the instance, the slack and K alone, so every
+output is still a function of the instance, the state, the config and the
+seed, whatever ran before.
 With K < |Theta| (many states) no face is built and no call pays an
 O(|Theta|) certificate.
 """
@@ -37,6 +39,7 @@ O(|Theta|) certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +48,8 @@ from .auction import max2
 from .lp import FaceCache, SolverFailure, optimal_face, signal_space, solve_ordering_lp
 from .model import KvsInstance, Signal, ValidationError
 
-FAMILY = 8  # draws behind the prior face: at most 8 more cold solves per (instance, slack, K)
+FAMILY = 256  # draws behind the prior face, per (instance, slack, K)
+FAMILY_FACES = 32  # faces a family builds: at most 32 more cold solves per (instance, slack, K)
 FAMILY_SEED = 918_273_645  # the family's own seed, never a config's
 
 
@@ -114,11 +118,13 @@ def _prior_face(instance: KvsInstance, slack: float):
     return faces[slack]
 
 
-def _family_draws(masses: np.ndarray, k: int) -> list[np.ndarray]:
+def _family_draws(masses: np.ndarray, k: int) -> Iterator[np.ndarray]:
     """The empirical weights of FAMILY draws of K prior samples each, from a
-    generator with a constant seed: fixed by the masses and K alone."""
+    generator with a constant seed, drawn one at a time as they are asked
+    for: fixed by the masses and K alone."""
     rng = np.random.default_rng(FAMILY_SEED)
-    return [rng.multinomial(k, masses) / k for _ in range(FAMILY)]
+    for _ in range(FAMILY):
+        yield rng.multinomial(k, masses) / k
 
 
 class _FaceFamily:
@@ -126,26 +132,27 @@ class _FaceFamily:
     prior face refutes.
 
     Family draw i gets a face, from one cold solve, unless the prior face or
-    an earlier family face certifies it.  Faces are built lazily, in draw
-    order, the first time a draw reaches them, so which faces exist and
-    which one serves a draw depend on the values, masses, K and slack alone,
-    not on how far earlier calls built the family.
+    an earlier family face certifies it.  Draws are drawn and faces built
+    lazily, in draw order, the first time a draw reaches them, and the
+    family stops drawing once it holds FAMILY_FACES faces, so which faces
+    exist and which one serves a draw depend on the values, masses, K and
+    slack alone, not on how far earlier calls built the family.  Every face
+    shares the prior face's ordering LP.
     """
 
-    def __init__(self, values: np.ndarray, prior, draws, slack: float):
+    def __init__(self, values: np.ndarray, masses: np.ndarray, prior, k: int, slack: float):
         self.values, self.slack = values, slack
         self.faces = [prior]  # the prior face, then the family's faces
-        self.pending = list(draws)  # draws not yet given a face or skipped
+        self.pending = _family_draws(masses, k)  # draws not yet given a face or skipped
 
     @classmethod
     def open(cls, values, masses, prior, k: int, slack: float):
         """The family behind ``prior``, or None when the prior face certifies
         none of its draws: then the draws are too far apart for a handful of
         faces to cover them."""
-        draws = _family_draws(masses, k)
-        if all(prior.certify(d) is None for d in draws):
+        if all(prior.certify(d) is None for d in _family_draws(masses, k)):
             return None
-        return cls(values, prior, draws, slack)
+        return cls(values, masses, prior, k, slack)
 
     def certify(self, weights: np.ndarray):
         """(phi, objective) from the first family face that certifies
@@ -160,12 +167,14 @@ class _FaceFamily:
 
     def _grow(self) -> bool:
         """Settle pending draws in order until one adds a face; False when
-        no draw is left."""
-        while self.pending:
-            draw = self.pending.pop(0)
+        no draw is left or the family is full."""
+        if len(self.faces) > FAMILY_FACES:
+            return False
+        lp = self.faces[0].lp
+        for draw in self.pending:
             if all(face.certify(draw) is None for face in self.faces):
                 try:
-                    self.faces.append(optimal_face(self.values, draw, self.slack))
+                    self.faces.append(optimal_face(self.values, draw, self.slack, lp))
                     return True
                 except SolverFailure:  # this draw keeps no face
                     pass

@@ -9,8 +9,11 @@ from signalcraft.lp import FaceCache, solve_ordering_lp
 from signalcraft.model import KvsInstance, KvsState, Signal, ValidationError, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import signal_space
+import signalcraft.public_mc as public_mc
 from signalcraft.public_mc import (
     FAMILY,
+    FAMILY_FACES,
+    FAMILY_SEED,
     McConfig,
     _draw_pair,
     _empirical_weights,
@@ -161,7 +164,8 @@ def test_face_family_does_not_depend_on_call_history():
     family = inst.face_families[slack, k]
     while family._grow():  # every family draw settled: the whole family built
         pass
-    assert 2 < len(family.faces) <= 1 + FAMILY
+    assert 2 < len(family.faces) <= 1 + FAMILY_FACES
+    assert all(face.lp is family.faces[0].lp for face in family.faces)
     after_all = [mc_signal(inst, state_id, config, detail=True) for state_id, config in calls]
 
     # the second family face or a later one served a call: every earlier
@@ -176,13 +180,20 @@ def test_face_family_does_not_depend_on_call_history():
         assert (a.signal, a.lp_objective) == (c.signal, c.lp_objective)
 
     # the rule itself (a family draw gets a face only when every earlier
-    # face refutes it), two fresh instances and the instance that served
-    # the calls above all hold the same faces in the same order
+    # face refutes it, up to FAMILY_FACES faces), each face with its own
+    # ordering LP, two fresh instances and the instance that served the
+    # calls above all hold the same faces in the same order
     fresh = tied_instance(7, 40)
     faces = [lp.optimal_face(fresh.value_matrix, fresh.masses, slack)]
     for draw in _family_draws(fresh.masses, k):
-        if all(face.certify(draw) is None for face in faces):
+        if len(faces) <= FAMILY_FACES and all(face.certify(draw) is None for face in faces):
             faces.append(lp.optimal_face(fresh.value_matrix, draw, slack))
+    # faces that share one ordering LP serve every call as faces that do not
+    for d in first:
+        mine, theirs = first_certified(faces, d.weights), first_certified(family.faces, d.weights)
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert np.array_equal(mine[0], theirs[0]) and mine[1] == theirs[1]
     families = [faces, family.faces]
     for _ in range(2):
         fresh = tied_instance(7, 40)
@@ -192,6 +203,81 @@ def test_face_family_does_not_depend_on_call_history():
         families.append(built.faces)
     columns = [[(f.fixed_cols.tolist(), f.split_cols.tolist()) for f in faces] for faces in families]
     assert all(c == columns[0] for c in columns)
+
+
+def first_certified(faces, weights):
+    """(phi, objective) from the first of ``faces`` that certifies
+    ``weights``, or None."""
+    return next((f for f in (face.certify(weights) for face in faces) if f is not None), None)
+
+
+def test_face_family_holds_at_most_family_faces(monkeypatch):
+    # uncapped, this family holds three faces behind the prior face
+    monkeypatch.setattr(public_mc, "FAMILY_FACES", 2)
+    slack, k = _slack(0.2, 3), sample_count(3, 0.2)
+    calls = [(f"s{s % 40}", McConfig(epsilon=0.2, seed=s)) for s in range(40)]
+    first = [
+        mc_signal(tied_instance(7, 40), state_id, config, detail=True)
+        for state_id, config in calls
+    ]
+
+    inst = tied_instance(7, 40)
+    rng = np.random.default_rng(9)
+    for call in range(50):
+        state_id = inst.states[int(rng.integers(40))].id
+        mc_signal(inst, state_id, McConfig(epsilon=0.2, seed=500 + call))
+    family = inst.face_families[slack, k]
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        while family._grow():
+            pass
+        assert solver.call_count == 0 and len(family.faces) == 3
+        later = [mc_signal(inst, state_id, config, detail=True) for state_id, config in calls]
+    assert len(family.faces) == 3
+    # a full family builds no face: only the calls that no face serves solve
+    assert solver.call_count == sum(
+        first_certified(family.faces, d.weights) is None for d in later
+    ) > 0
+    for a, b in zip(first, later):
+        assert (a.signal, a.lp_objective) == (b.signal, b.lp_objective)
+
+
+def test_family_draws_are_drawn_lazily_from_the_constant_seed_stream(monkeypatch):
+    masses, k = tied_instance(7, 40).masses, sample_count(3, 0.2)
+    stream = np.random.default_rng(FAMILY_SEED)
+    want = [stream.multinomial(k, masses) / k for _ in range(FAMILY)]
+    got = list(_family_draws(masses, k))
+    assert len(got) == FAMILY
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the first 8 draws are those of the former eight-draw family
+    stream = np.random.default_rng(FAMILY_SEED)
+    former = [stream.multinomial(k, masses) / k for _ in range(8)]
+    assert all(np.array_equal(a, b) for a, b in zip(got[:8], former))
+
+    # the open gate draws up to the first draw the prior face certifies, and
+    # the family draws only up to the draw that gets its next face
+    pulled = []  # draws taken from each stream, in the order the streams began
+
+    def counted(masses, k):
+        pulled.append(0)
+        stream = len(pulled) - 1
+
+        def draws():
+            for draw in _family_draws(masses, k):
+                pulled[stream] += 1
+                yield draw
+        return draws()
+
+    monkeypatch.setattr(public_mc, "_family_draws", counted)
+    inst = tied_instance(7, 40)
+    slack = _slack(0.2, 3)
+    prior = _prior_face(inst, slack)
+    family = _FaceFamily.open(inst.value_matrix, masses, prior, k, slack)
+    first_certified_draw = next(i for i, d in enumerate(want) if prior.certify(d) is not None)
+    assert pulled == [first_certified_draw + 1, 0]
+    assert family._grow() and len(family.faces) == 2
+    first_refuted_draw = next(i for i, d in enumerate(want) if prior.certify(d) is None)
+    assert pulled == [first_certified_draw + 1, first_refuted_draw + 1]
+    assert max(pulled) < FAMILY
 
 
 def random_instance(seed, num_states):
@@ -226,6 +312,27 @@ def test_prior_face_that_certifies_no_family_draw_opens_no_family():
             mc_signal(inst, "s0", config, rng=np.random.default_rng(call))
     assert inst.face_families == {(slack, k): None}
     assert solver.call_count == 5  # one cold solve per call, none for faces
+
+
+def test_family_serves_an_instance_whose_prior_face_certifies_the_first_draws():
+    # instance 1 of signal_narrow on benchmark seed 3008: the prior face
+    # certifies the first 8 family draws but only about two thirds of the
+    # real draws, so an 8-draw family built no face and 166 of 500 calls
+    # solved cold
+    rng = np.random.default_rng([3008, 1, 0])
+    for _ in range(2):
+        masses = rng.dirichlet(np.ones(50))
+        values = rng.random((50, 3))
+    inst = KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s}", float(m), tuple(v)) for s, (m, v) in enumerate(zip(masses, values))
+    ))
+    config = McConfig(epsilon=0.2, seed=0)
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        for i in range(500):
+            rng = np.random.default_rng([7, i])
+            state = int(rng.choice(50, p=inst.masses))
+            mc_signal(inst, f"s{state}", config, rng=rng)
+    assert solver.call_count <= 12  # the prior face, the family's faces and the rest
 
 
 def test_first_call_on_many_states_builds_a_linear_size_face():
