@@ -49,23 +49,6 @@ def as_explicit(instance: KvsInstance, scheme: PublicScheme) -> PublicScheme:
     raise ValidationError(f"scheme kind {scheme.kind!r} has no KVS table expansion")
 
 
-def conditional_values(
-    instance: KvsInstance, scheme: PublicScheme, signal: Signal
-) -> tuple[float, np.ndarray]:
-    """Signal probability and the posterior-mean value vector given the signal."""
-    scheme = as_explicit(instance, scheme)
-    alpha = 0.0
-    acc = np.zeros(instance.n)
-    for state in instance.states:
-        phi = scheme.table.get(state.id, {}).get(signal, 0.0)
-        if phi:
-            alpha += state.mass * phi
-            acc += state.mass * phi * np.asarray(state.values)
-    if alpha <= 0.0:
-        raise ValidationError(f"signal {signal.label} has zero probability")
-    return alpha, acc / alpha
-
-
 def _signal_posteriors(instance: KvsInstance, scheme: PublicScheme):
     scheme = as_explicit(instance, scheme)
     problems = scheme.validate()

@@ -7,35 +7,54 @@ profiles the revenue of such a scheme is linear in the table phi(profile,
 pair), so the optimum is one linear program.  The exact optimal public scheme
 solves it on the prior masses; the sampled signaler solves it on an empirical
 distribution with its ordering constraints slackened.  Both call
-``solve_ordering_lp``, which hands the LP to the HiGHS backend shipped with
-scipy and checks the solution before returning it.  The sampled scheme
-solves the same LP thousands of times with drifting weights.  The face of
-one optimum (``optimal_face``) carries a dual certificate that proves or
-refutes its point's optimality for new weights, also for weights that leave
-some profiles at 0, which it certifies on the profiles of positive weight
-alone: the signaler certifies its draws against the face at the prior
-masses and then against a fixed family of faces behind it, which share the
-prior face's ``_OrderingLp``, and the evaluator's ``FaceCache`` reuses
-earlier optima's faces; both solve cold when no face is certified.
+``solve_ordering_lp``, and every cold solve here goes through
+``_OrderingLp.solve``, which takes one of two routes:
 
-scipy is imported on first use, not with this module, so that commands which
-solve no LP start without it.  ``linprog`` below is the one module-level name
-through which every solve here passes; wrap or replace it to observe or stub
-the backend.
+- an LP of at most NATIVE_MAX_COLUMNS phi columns, with positive finite
+  weights, finite values and a finite slack >= 0, goes first to ``simplex``,
+  a dense primal simplex in numpy.  Its point is kept only when it passes
+  the residual check and the duality-gap test against its own duals;
+- every other LP, and every LP whose native point is refused or whose
+  simplex reaches NATIVE_MAX_PIVOTS, goes to the HiGHS backend shipped with
+  scipy (``linprog``), whose solution passes the residual check.
+
+The sampled scheme solves the same LP thousands of times with drifting
+weights.  The face of one optimum (``optimal_face``) carries a dual
+certificate that proves or refutes its point's optimality for new weights,
+also for weights that leave some profiles at 0, which it certifies on the
+profiles of positive weight alone: the signaler certifies its draws against
+the face at the prior masses and then against a fixed family of faces
+behind it, which share the prior face's ``_OrderingLp``, and solves cold
+when no face is certified.
+
+scipy is imported on the first HiGHS solve, not with this module, so that
+commands which solve no LP, or only small ones, start without it.
+``linprog`` and ``simplex`` below are the module-level names of the two
+routes; wrap or replace them to observe or stub one route, or wrap
+``_OrderingLp.solve`` to count cold solves on both.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .model import ValidationError
 
 FEAS_TOL = 1e-7
-# optimal faces a FaceCache keeps per LP; trying one costs a small
-# matrix-vector product, against milliseconds for a cold solve
-MAX_FACES = 32
+# phi columns (profiles x pairs) up to which a solve tries the native
+# simplex: 20 profiles at n = 3.  At n = 3 the dense simplex beats HiGHS up
+# to about 50 profiles (1.7 against 3.6 ms, medians on a 2-core VM) and
+# loses by 100 (9.1 against 7.0 ms).  The cap stays well below 50 profiles so
+# that LPs of 50 profiles keep their HiGHS optima, and the seeded outputs
+# that rest on them do not move.
+NATIVE_MAX_COLUMNS = 120
+NATIVE_MAX_PIVOTS = 1_000  # a native solve that reaches this goes to HiGHS
+BLAND_AFTER = 50  # degenerate pivots after which the simplex prices by Bland's rule
+_PRICE_TOL = 1e-11  # a column enters below this reduced cost; the gap test allows 1e-9
+_PIVOT_TOL = 1e-9  # smallest pivot element the ratio test accepts
 
 
 class SolverFailure(RuntimeError):
@@ -135,8 +154,57 @@ class _OrderingLp:
         row_gap = float(np.abs(phi.sum(axis=1) - 1.0).max())
         return row_gap, float(self.order_rows(w[:, None] * phi, states).max()) - slack
 
+    def prices(self, z: np.ndarray) -> np.ndarray:
+        """The profile prices y_s = min_p (c - A_ub^T z)(s, p) of ordering-row
+        duals z <= 0.  They make (y, z) dual-feasible whatever the weights,
+        so w.y + slack * sum(z) bounds every feasible c.x from below."""
+        reduced = -self.gain.copy()
+        np.add.at(reduced.T, self.row_pair, (self.diffs * z).T)
+        return reduced.min(axis=1)
+
+    def certify(self, w, x, y, slack_price: float, slack: float, states=slice(None)):
+        """(phi, objective) of joint mass x for weights w, both given on
+        ``states`` (every profile by default), or None unless phi is
+        nonnegative, passes the residual check in the LP on those states, and
+        its objective lies within 1e-9 of the dual bound w.y + slack_price,
+        with the prices y of those states."""
+        phi = x / w[:, None]
+        if not phi.min() >= -FEAS_TOL:  # written so that NaN fails too
+            return None
+        phi = np.clip(phi, 0.0, None)
+        objective = float((w[:, None] * phi * self.gain[states]).sum())
+        certified = (
+            max(self.residuals(w, phi, slack, states)) <= FEAS_TOL
+            and -objective <= w @ y + slack_price + 1e-9
+        )
+        return (phi, objective) if certified else None
+
     def solve(self, w, slack: float) -> tuple[np.ndarray, float, np.ndarray]:
-        """A cold solve in phi form: (phi, objective, ordering-row duals)."""
+        """A cold solve in phi form: (phi, objective, ordering-row duals).
+
+        An LP of at most NATIVE_MAX_COLUMNS phi columns, with positive finite
+        weights, finite values and a finite slack >= 0, tries ``simplex``
+        first, and keeps its point when ``certify`` passes it with the
+        simplex's own duals.  Every other LP, a refused point and a simplex
+        that reaches its pivot cap are solved by HiGHS."""
+        if (
+            self.gain.size <= NATIVE_MAX_COLUMNS
+            and 0.0 <= slack < math.inf
+            and (w > 0).all()
+            and np.isfinite(w).all()
+            and np.isfinite(self.gain).all()  # every bidder is second in some pair
+        ):
+            solved = simplex(self, w, slack)
+            if solved is not None:
+                x, z = solved
+                found = self.certify(w, x, self.prices(z), slack * z.sum(), slack)
+                if found is not None:
+                    return (*found, z)
+        return self._solve_highs(w, slack)
+
+    def _solve_highs(self, w, slack: float) -> tuple[np.ndarray, float, np.ndarray]:
+        """``solve`` by HiGHS; raises SolverFailure unless the solve is
+        optimal and passes the residual check."""
         from scipy.sparse import csr_matrix
 
         num_states, num_pairs = self.gain.shape
@@ -179,14 +247,82 @@ class _OrderingLp:
         return phi, -float(res.fun), res.ineqlin.marginals
 
 
+def simplex(lp: _OrderingLp, w, slack: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The LP of ``lp`` for positive weights w and a slack >= 0 by a dense
+    revised primal simplex in joint-mass form: (x, z), the optimal joint
+    mass (profiles x pairs) and its ordering-row duals z <= 0, or None when
+    it reaches NATIVE_MAX_PIVOTS or a singular basis.
+
+    The columns are x(s, p), state-major, then one slack per ordering row.
+    The start is the no-information basis, feasible for any slack >= 0:
+    every profile on the pair whose rows the weighted mean values meet best
+    (the pair of the two highest means), and every ordering row slack.  A
+    pivot enters the column of least reduced cost (Dantzig) and the row of
+    least ratio, the largest pivot among ties.  After BLAND_AFTER degenerate
+    pivots it enters the first improving column and leaves the tied row of
+    lowest column index instead, so that it cannot cycle (Bland 1977, Math.
+    Oper. Res. 2(2)).  x and z are read from a fresh inverse of the final
+    basis.
+    """
+    num_states, num_pairs = lp.gain.shape
+    num_rows = len(lp.row_pair)
+    num_cols = num_states * num_pairs
+    size = num_states + num_rows
+    a = np.zeros((size, num_cols + num_rows))
+    a[np.repeat(np.arange(num_states), num_pairs), np.arange(num_cols)] = 1.0
+    pair_cols = lp.row_pair[:, None] + num_pairs * np.arange(num_states)
+    a[num_states + np.arange(num_rows)[:, None], pair_cols] = -lp.diffs.T
+    a[num_states:, num_cols:] = np.eye(num_rows)
+    b = np.concatenate([w, np.full(num_rows, float(slack))])
+    c = np.concatenate([-lp.gain.ravel(), np.zeros(num_rows)])
+
+    start = (w @ lp.diffs).reshape(num_pairs, -1).min(axis=1).argmax()
+    basis = np.concatenate(
+        [num_pairs * np.arange(num_states) + start, num_cols + np.arange(num_rows)]
+    )
+    degenerate = 0
+    try:
+        binv = np.linalg.inv(a[:, basis])
+        x_b = np.maximum(binv @ b, 0.0)  # a tie of two means may round below 0
+        for _ in range(NATIVE_MAX_PIVOTS):
+            y = c[basis] @ binv
+            reduced = c - y @ a
+            entering = np.flatnonzero(reduced < -_PRICE_TOL)
+            if not entering.size:
+                binv = np.linalg.inv(a[:, basis])
+                x = np.zeros(len(c))
+                x[basis] = binv @ b
+                z = np.minimum(c[basis] @ binv, 0.0)[num_states:]
+                return x[:num_cols].reshape(num_states, num_pairs), z
+            bland = degenerate >= BLAND_AFTER
+            q = entering[0] if bland else entering[reduced[entering].argmin()]
+            u = binv @ a[:, q]
+            rows = np.flatnonzero(u > _PIVOT_TOL)
+            if not rows.size:  # unbounded, which a bounded LP is not
+                return None
+            ratios = x_b[rows] / u[rows]
+            ties = rows[ratios <= ratios.min() + 1e-12]
+            r = ties[basis[ties].argmin()] if bland else ties[u[ties].argmax()]
+            step = x_b[r] / u[r]
+            degenerate += step <= 1e-12
+            x_b = np.maximum(x_b - step * u, 0.0)
+            x_b[r] = step
+            binv[r] /= u[r]
+            u[r] = 0.0
+            binv -= np.outer(u, binv[r])
+            basis[r] = q
+    except np.linalg.LinAlgError:
+        pass
+    return None
+
+
 class _Face:
     """An optimal face of one ordering LP, with a certificate for new weights.
 
     It holds the columns that carried mass at a cold optimum x, the ordering
     rows tight there (a tight row stays in the face even when its dual is 0),
-    and the ordering-row duals z <= 0 of that solve.  The profile prices
-    y_s = min_p (c - A_ub^T z)(s, p) make (y, z) dual-feasible whatever the
-    weights, so w.y + slack * sum(z) bounds every feasible c.x from below.
+    and the ordering-row duals z <= 0 of that solve, whose profile prices
+    (``_OrderingLp.prices``) bound every feasible c.x from below.
 
     The face's point for weights w puts all of w_s on the column of a
     profile with one face column.  Only the columns of split profiles are
@@ -221,9 +357,7 @@ class _Face:
         self.from_w = pinv[:, : len(self.split_states)]
         self.from_rows = pinv[:, len(self.split_states) :]
         z = np.minimum(z, 0.0)
-        reduced = -lp.gain.copy()
-        np.add.at(reduced.T, lp.row_pair, (lp.diffs * z).T)
-        self.y = reduced.min(axis=1)
+        self.y = lp.prices(z)
         self.slack_price = slack * z.sum()
 
     def point(self, w) -> np.ndarray:
@@ -245,61 +379,8 @@ class _Face:
         each of them in order.  That LP is the LP on every profile with the
         others at weight 0, so the restriction of (y, z) to it is still
         dual-feasible and the duality-gap test stays exact."""
-        lp, slack = self.lp, self.slack
         support = np.flatnonzero(w)
         x = self.point(w)[support]
-        w = w[support]
-        phi = x / w[:, None]
-        if not phi.min() >= -FEAS_TOL:  # written so that NaN fails too
-            return None
-        phi = np.clip(phi, 0.0, None)
-        objective = float((w[:, None] * phi * lp.gain[support]).sum())
-        certified = (
-            max(lp.residuals(w, phi, slack, support)) <= FEAS_TOL
-            and -objective <= w @ self.y[support] + self.slack_price + 1e-9
+        return self.lp.certify(
+            w[support], x, self.y[support], self.slack_price, self.slack, support
         )
-        return (phi, objective) if certified else None
-
-
-class FaceCache:
-    """``solve_ordering_lp`` for a run of solves whose weights drift.
-
-    A solve on value profiles already seen tries the optimal faces kept for
-    them, most recently used first, and returns the first whose certificate
-    proves its point optimal for the new weights; otherwise it solves cold
-    and keeps that optimum's face.  Faces are built from the second cold
-    solve on the same profiles on, so a run whose profiles never repeat
-    pays only a set lookup per solve.  Weights must be positive.
-
-    Where the LP has several optima a reused face may return another one
-    than a cold solve would, with the same objective within 1e-9.
-    """
-
-    def __init__(self):
-        self._seen: set[int] = set()
-        self._faces: dict[tuple, tuple[_OrderingLp, list[_Face]]] = {}
-
-    def solve(self, values, weights, slack: float) -> tuple[np.ndarray, float]:
-        values = np.asarray(values, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        key = (float(slack), values.shape, values.tobytes())
-        entry = self._faces.get(key)
-        if entry is not None:
-            lp, faces = entry
-            for i, face in enumerate(faces):
-                found = face.certify(w)
-                if found is not None:
-                    faces.insert(0, faces.pop(i))
-                    return found
-        else:
-            lp, faces = _OrderingLp(values), None
-            if hash(key) in self._seen:  # a hash collision only builds a face early
-                faces = []
-                self._faces[key] = (lp, faces)
-            else:
-                self._seen.add(hash(key))
-        phi, objective, z = lp.solve(w, slack)
-        if faces is not None:
-            faces.insert(0, _Face(lp, w[:, None] * phi, z, slack))
-            del faces[MAX_FACES:]
-        return phi, objective

@@ -22,7 +22,6 @@ from typing import Mapping
 import numpy as np
 
 MASS_TOL = 1e-9
-PMF_TOL = 1e-12
 
 
 class ValidationError(ValueError):

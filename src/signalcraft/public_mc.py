@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction import max2
-from .lp import FaceCache, SolverFailure, optimal_face, signal_space, solve_ordering_lp
+from .lp import SolverFailure, optimal_face, signal_space, solve_ordering_lp
 from .model import KvsInstance, Signal, ValidationError
 
 FAMILY = 256  # draws behind the prior face, per (instance, slack, K)
@@ -200,42 +200,30 @@ def _face_solution(instance: KvsInstance, weights: np.ndarray, k: int, slack: fl
     return found
 
 
-def _solve_sampled(
-    instance: KvsInstance,
-    weights: np.ndarray,
-    k: int,
-    slack: float,
-    solve=solve_ordering_lp,
-):
+def _solve_sampled(instance: KvsInstance, weights: np.ndarray, k: int, slack: float):
     """The sampled LP on the support of ``weights``: (support, phi, objective).
 
     When K >= |Theta| and every state has positive mass, the draw, whether
     or not it hits every state, takes the support's point of the first
     certified face: the prior face, then its family (see the module
     docstring).  A draw that no face serves, and every draw otherwise, is
-    handed to ``solve``, which is ``solve_ordering_lp`` or a ``FaceCache``'s
-    ``solve``."""
+    solved cold."""
     support = np.flatnonzero(weights)
     found = None
     if k >= len(weights) and instance.masses.all():
         found = _face_solution(instance, weights, k, slack)
     if found is None:
-        found = solve(instance.value_matrix[support], weights[support], slack)
+        found = solve_ordering_lp(instance.value_matrix[support], weights[support], slack)
     return (support, *found)
 
 
 def _solve_and_draw(
-    instance: KvsInstance,
-    state_idx: int,
-    k: int,
-    slack: float,
-    rng: np.random.Generator,
-    solve=solve_ordering_lp,
+    instance: KvsInstance, state_idx: int, k: int, slack: float, rng: np.random.Generator
 ):
     """One signaling trial for a realized state: the drawn pair index, the
     empirical weights, their support, the support's phi and the LP objective."""
     weights = _empirical_weights(instance.masses, state_idx, k, rng)
-    support, phi, objective = _solve_sampled(instance, weights, k, slack, solve)
+    support, phi, objective = _solve_sampled(instance, weights, k, slack)
     pair_idx = _draw_pair(phi, support, state_idx, rng)
     return pair_idx, weights, support, phi, objective
 
@@ -319,26 +307,19 @@ def evaluate_mc_scheme(
     the empirical joint of (state, signal): every signal's posterior value
     vector is estimated from the trials that emitted it, and the estimate is
     the mean over trials of the second-highest posterior value at the
-    emitted signal.  Each trial draws from its own spawned seed.
-
-    Each trial solves as ``mc_signal`` does, the prior face and its family
-    first, but a draw that no such face serves goes to one ``FaceCache``
-    that the trials share: a trial whose sampled states repeat an earlier
-    trial's reuses an optimal face of that LP when a dual certificate proves
-    it optimal for the new weights, and solves cold otherwise.  Every
-    trial's phi is an optimum of its own LP, but where the LP has several
-    optima a reused face may pick another one than the cold solve inside
-    ``mc_signal``, so replaying the trials through ``mc_signal`` need not
-    give the same estimate.  The cache lives for one call, so the estimate
-    is still a function of the instance, the config and the trial count
-    alone.
+    emitted signal.  Each trial draws from its own spawned seed and solves
+    exactly as ``mc_signal`` does, so the estimate is a function of the
+    instance, the config and the trial count alone.
 
     ``std_error`` is the spread of the per-trial revenues over
     sqrt(trials).  It leaves out the noise of estimating each signal's
     posterior from the same trials, so it understates the estimate's real
-    spread, by 2-4x on 50-state instances: over 40 seeds (1,000 trials,
-    formula K) the estimates' standard deviation was 0.0051-0.0099 where
-    the reported errors averaged 0.0019-0.0031.
+    spread: by 2-4x on 50-state instances (over 40 seeds of 1,000 trials at
+    formula K the estimates' standard deviation was 0.0051-0.0099 where the
+    reported errors averaged 0.0019-0.0031), about 7x on 2,000 states with
+    K = 200 (sd 0.0045 over 8 seeds of 1,000 trials at eps 0.2, against a
+    reported 0.0006), and 7-17x on example 3 (eps 0.2, 300 trials, 20 seeds,
+    K from 5 to 1,000: sd 0.0123-0.0124 against 0.0007-0.0017).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -347,12 +328,11 @@ def evaluate_mc_scheme(
     slack = _slack(config.epsilon, instance.n)
     k = config.k_for(instance.n)
 
-    solve = FaceCache().solve
     outcomes = []
     for seed in np.random.SeedSequence(config.seed).spawn(trials):
         rng = np.random.default_rng(seed)
         s_idx = int(rng.choice(num_states, p=instance.masses))
-        outcomes.append((s_idx, _solve_and_draw(instance, s_idx, k, slack, rng, solve)[0]))
+        outcomes.append((s_idx, _solve_and_draw(instance, s_idx, k, slack, rng)[0]))
     states, pairs = np.array(outcomes).T
 
     # empirical joint of (state index, pair index) over the trials

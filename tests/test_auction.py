@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from signalcraft.auction import (
+    _signal_posteriors,
     bvs_public_revenue_mc,
-    conditional_values,
     kvs_public_revenue,
     kvs_public_welfare,
     max2,
@@ -44,21 +44,29 @@ def test_max2_matches_sorting_on_random_vectors():
         assert max2(v) == second_largest_by_sorting(v.tolist())
 
 
+def posteriors(inst, scheme):
+    """{signal: (probability, posterior value vector)} over the signals the
+    scheme sends with positive probability."""
+    return {sig: (alpha, post) for sig, alpha, post in _signal_posteriors(inst, scheme)}
+
+
 def test_conditional_values_no_information():
     inst = make_example3(0.1)
     scheme = PublicScheme.no_information()
-    alpha, post = conditional_values(inst, scheme, Signal.opaque(0))
+    (signal, (alpha, post)), = posteriors(inst, scheme).items()
+    assert signal == Signal.opaque(0)
     assert alpha == pytest.approx(1.0)
     assert post == pytest.approx([0.28, 0.18, 0.91])
+    assert kvs_public_revenue(inst, scheme) == pytest.approx(max2(post))
 
 
 def test_conditional_values_full_information():
     inst = make_example3(0.1)
-    alpha, post = conditional_values(
-        inst, PublicScheme.full_information(), Signal.revealed("A")
-    )
+    scheme = PublicScheme.full_information()
+    alpha, post = posteriors(inst, scheme)[Signal.revealed("A")]
     assert alpha == pytest.approx(0.9)
     assert post == pytest.approx([0.2, 0.1, 1.0])
+    assert kvs_public_revenue(inst, scheme) == pytest.approx(0.9 * 0.2 + 0.1 * 0.9)
 
 
 def test_conditional_values_split_state():
@@ -66,22 +74,27 @@ def test_conditional_values_split_state():
     s0, s1 = Signal.opaque(0), Signal.opaque(1)
     table = {"A": {s0: 0.5, s1: 0.5}, "B": {s0: 0.5, s1: 0.5}}
     scheme = PublicScheme.explicit(table)
-    a0, p0 = conditional_values(inst, scheme, s0)
-    a1, p1 = conditional_values(inst, scheme, s1)
+    (a0, p0), (a1, p1) = posteriors(inst, scheme)[s0], posteriors(inst, scheme)[s1]
     assert a0 == pytest.approx(0.5) and a1 == pytest.approx(0.5)
     assert p0 == pytest.approx(p1)
+    # splitting both states alike reveals nothing
+    assert kvs_public_revenue(inst, scheme) == pytest.approx(
+        kvs_public_revenue(inst, PublicScheme.no_information())
+    )
 
     # splitting just state A keeps both posteriors degenerate at A's values
     table = {"A": {s0: 0.5, s1: 0.5}, "B": {Signal.opaque(2): 1.0}}
     scheme = PublicScheme.explicit(table)
-    a0, p0 = conditional_values(inst, scheme, s0)
-    a1, p1 = conditional_values(inst, scheme, s1)
+    (a0, p0), (a1, p1) = posteriors(inst, scheme)[s0], posteriors(inst, scheme)[s1]
     assert a0 == pytest.approx(0.45) and a1 == pytest.approx(0.45)
     assert p0 == pytest.approx([0.2, 0.1, 1.0])
     assert p0 == pytest.approx(p1)
+    assert kvs_public_revenue(inst, scheme) == pytest.approx(
+        kvs_public_revenue(inst, PublicScheme.full_information())
+    )
 
-    with pytest.raises(ValidationError, match="zero probability"):
-        conditional_values(inst, scheme, Signal.opaque(9))
+    # a signal the scheme never sends has no posterior
+    assert Signal.opaque(9) not in posteriors(inst, scheme)
 
 
 def test_kvs_revenue_and_welfare_examples():

@@ -249,26 +249,44 @@ IMPORT_GUARD = """
 import json
 import sys
 import signalcraft.cli as cli
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-ex2 = sys.argv[1]
+def loaded():
+    print("scipy:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+loaded()
+ex2, ex3 = sys.argv[1:]
 assert cli.main(["gen-instance", "example2", "--n", "4", "--out", ex2]) == 0
 assert cli.main(["oracle", "theorem2", "--n", "16", "--epsilon", "0.3"]) == 0
 assert cli.main(["oracle", "binom-tail", "--m", "10000", "--p", "0.1", "--k", "1100"]) == 0
 assert cli.main(["bvs-pool", "--instance", ex2, "--state", "0100", "--seed", "3"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+loaded()
+# the production LP commands of the README on example 3: their LPs are
+# small enough for the native simplex
+assert cli.main(["gen-instance", "example3", "--epsilon", "0.1", "--out", ex3]) == 0
+for argv in (
+    ["solve-public-exact"],
+    ["sign-public-mc", "--state", "A", "--epsilon", "0.2", "--seed", "7"],
+    ["eval-public-mc", "--epsilon", "0.2", "--trials", "1000", "--seed", "1"],
+    ["compare", "--schemes", "full,none,optimal,private"],
+):
+    assert cli.main([*argv, "--instance", ex3]) == 0
+loaded()
 """
 
 
 def test_commands_without_an_lp_load_no_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
+    files = [str(tmp_path / "ex2.json"), str(tmp_path / "ex3.json")]
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "ex2.json")],
+        [sys.executable, "-c", IMPORT_GUARD, *files],
+        cwd=tmp_path,  # compare writes compare.csv into the working directory
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    after_import, after_commands = json.loads(lines[0]), json.loads(lines[-1])
+    after_import, after_commands, after_lp_commands = [
+        json.loads(line.removeprefix("scipy:"))
+        for line in proc.stdout.splitlines() if line.startswith("scipy:")
+    ]
     assert after_import == []
     for heavy in ("scipy.stats", "scipy.special", "scipy.integrate"):
         assert heavy not in after_commands
+    assert after_lp_commands == []

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeResult
 
 import signalcraft.lp as lp
 from signalcraft.auction import kvs_public_revenue, max2
-from signalcraft.lp import FEAS_TOL, FaceCache, SolverFailure, signal_space, solve_ordering_lp
+from signalcraft.lp import FEAS_TOL, SolverFailure, signal_space, solve_ordering_lp
 from signalcraft.model import KvsInstance, KvsState, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import solve_optimal_public
@@ -49,6 +49,11 @@ def test_simple_optimal():
     assert phi[0].tolist() == pytest.approx([0.0, 1.0])  # pair (1, 0)
 
 
+def highs_only(monkeypatch):
+    """Every native solve stops at its pivot cap, so every solve goes to HiGHS."""
+    monkeypatch.setattr(lp, "simplex", lambda *args: None)
+
+
 def stub_linprog(monkeypatch, **fields):
     monkeypatch.setattr(
         lp, "linprog", lambda *a, **k: OptimizeResult(x=None, fun=None, **fields)
@@ -56,24 +61,30 @@ def stub_linprog(monkeypatch, **fields):
 
 
 def test_infeasible(monkeypatch):
+    highs_only(monkeypatch)
     stub_linprog(monkeypatch, status=2, message="The problem is infeasible.")
     with pytest.raises(SolverFailure, match="status 2"):
         solve_example3()
 
 
 def test_unbounded(monkeypatch):
+    highs_only(monkeypatch)
     stub_linprog(monkeypatch, status=3, message="The problem is unbounded.")
     with pytest.raises(SolverFailure, match="status 3"):
         solve_example3()
 
 
 def test_reject_non_finite():
-    with pytest.raises(ValueError):
-        solve_example3(weights=[0.9, math.nan])
-    values = EX3.value_matrix.copy()  # the instance's own matrix is read-only
-    values[0, 0] = math.inf
-    with pytest.raises(ValueError):
-        solve_ordering_lp(values, EX3.masses, 0.0)
+    # non-finite inputs never reach the native simplex: HiGHS rejects them
+    with mock.patch.object(lp, "simplex", wraps=lp.simplex) as native:
+        for weights in ([0.9, math.nan], [0.9, math.inf]):
+            with pytest.raises(ValueError):
+                solve_example3(weights=weights)
+        values = EX3.value_matrix.copy()  # the instance's own matrix is read-only
+        values[0, 0] = math.inf
+        with pytest.raises(ValueError):
+            solve_ordering_lp(values, EX3.masses, 0.0)
+    assert native.call_count == 0
 
 
 def test_lp1_matches_brute_force_oracle():
@@ -119,6 +130,7 @@ def test_certificate_rejects_a_perturbed_solution(monkeypatch, damage):
             res.x[:6] = np.eye(6)[signal_space(3).index((1, 0))]
         return res
 
+    highs_only(monkeypatch)
     monkeypatch.setattr(lp, "linprog", perturbed)
     with pytest.raises(SolverFailure, match="misses"):
         solve_example3()
@@ -240,25 +252,32 @@ def drifting_weights():
     return sampled_draws().map(lambda case: case[:3])
 
 
-def counting_linprog():
-    return mock.patch.object(lp, "linprog", wraps=lp.linprog)
+def counting_solves():
+    """Counts cold solves, by either route: each goes through
+    ``_OrderingLp.solve``."""
+    return mock.patch.object(
+        lp._OrderingLp, "solve", autospec=True, side_effect=lp._OrderingLp.solve
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(drifting_weights())
 def test_reused_face_matches_a_cold_solve(case):
+    # the face of the first draw's optimum, reused on the later draws
     values, draws, slack = case
-    cache = FaceCache()
+    face = lp.optimal_face(values, draws[0], slack)
     reused = 0
-    for w in draws:  # the second solve builds a face, later ones may reuse it
-        with counting_linprog() as solver:
-            phi, objective = cache.solve(values, w, slack)
-        reused += solver.call_count == 0
+    for w in draws[1:]:
+        found = face.certify(w)
+        if found is None:
+            continue
+        reused += 1
+        phi, objective = found
         _, cold = solve_ordering_lp(values, w, slack)
         assert objective == pytest.approx(cold, abs=1e-9)
         assert max(lp._OrderingLp(values).residuals(w, phi, slack)) <= FEAS_TOL
         assert ordering_rows(values, w, phi).min() >= -slack - FEAS_TOL
-    event(f"reused {reused} of 2")
+    event(f"reused {reused} of 3")
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,13 +311,13 @@ def test_face_with_a_wrong_dual_is_rejected(case, wrong, missing, data):
     if missing:
         return
 
-    cache = FaceCache()
-    cache.solve(values, w, slack)
-    cache.solve(values, w, slack)
-    (_, faces), = cache._faces.values()
-    faces[:] = [face]
-    with counting_linprog() as solver:
-        _, objective = cache.solve(values, w, slack)
+    # as the only face of a sampled draw on every state, it leaves the draw
+    # to a cold solve
+    inst, k = instance_of(values, w), len(w)
+    inst.prior_faces[slack] = face
+    inst.face_families[slack, k] = None
+    with counting_solves() as solver:
+        _, _, objective = _solve_sampled(inst, w, k, slack)
     assert solver.call_count == 1
     assert objective == pytest.approx(cold, abs=1e-9)
 
@@ -364,7 +383,7 @@ def test_draw_missing_a_state_is_certified_or_solved_cold(case, data):
     w = draws[1].copy()
     w[data.draw(st.integers(0, len(w) - 1))] = 0.0
     refuted = all(face.certify(w) is None for face in faces)
-    with counting_linprog() as solver:
+    with counting_solves() as solver:
         support, phi, objective = _solve_sampled(inst, w, k, slack)
     assert solver.call_count == refuted
     assert support.tolist() == np.flatnonzero(w).tolist()
@@ -420,3 +439,126 @@ def test_reduced_face_point_matches_the_dense_one(case):
     for w in draws:
         if w is draws[0] or face.certify(w) is not None:
             assert np.abs(face.point(w) - dense_face_point(ordering, x, slack, w)).max() <= 1e-12
+
+
+# --- the native simplex -------------------------------------------------------
+
+
+def dual_bound(values, w, z, slack):
+    """w.y + slack * sum(z) for ordering-row duals z <= 0, with each profile's
+    price y_s the least reduced cost of its columns, built row by row from
+    the LP's definition: a lower bound on every feasible c.x."""
+    n = values.shape[1]
+    rows = [
+        (p, a, b)
+        for p, (i, j) in enumerate(signal_space(n))
+        for a, b in [(i, j)] + [(j, k) for k in range(n) if k not in (i, j)]
+    ]
+    reduced = np.array([
+        [-v[j] for _, j in signal_space(n)] for v in values
+    ])
+    for (p, a, b), dual in zip(rows, z):
+        reduced[:, p] += (values[:, a] - values[:, b]) * dual
+    return float(w @ reduced.min(axis=1) + slack * z.sum())
+
+
+SKEWED = (0.0, 0.001, 0.01, 0.1, 1.0)  # values over three orders of magnitude
+
+
+@st.composite
+def native_lps(draw):
+    """Value profiles that tie or are skewed, positive weights, and a slack
+    of 0 or eps/(2n^2), with at most NATIVE_MAX_COLUMNS phi columns."""
+    n = draw(st.integers(2, 4))
+    num_states = draw(st.integers(1, lp.NATIVE_MAX_COLUMNS // (n * (n - 1))))
+    levels = draw(st.sampled_from([LEVELS, SKEWED]))
+    values = np.array([
+        draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        for _ in range(num_states)
+    ])
+    counts = np.array(draw(st.lists(
+        st.integers(1, 9), min_size=num_states, max_size=num_states
+    )), dtype=float)
+    slack = draw(st.sampled_from([0.0, _slack(draw(st.sampled_from([0.06, 0.2, 0.5])), n)]))
+    return values, counts / counts.sum(), slack
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_lps())
+def test_native_point_passes_both_checks_and_matches_highs(case):
+    values, w, slack = case
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as highs:
+        phi, objective, z = lp._OrderingLp(values).solve(w, slack)
+    event("HiGHS" if highs.call_count else "native")
+    if highs.call_count:
+        return
+    assert phi.min() >= 0.0
+    assert np.abs(phi.sum(axis=1) - 1.0).max() <= FEAS_TOL
+    assert ordering_rows(values, w, phi).min() >= -slack - FEAS_TOL
+    assert z.max() <= 0.0
+    assert -objective <= dual_bound(values, w, z, slack) + 1e-9
+    second = values[:, [j for _, j in signal_space(values.shape[1])]]
+    assert objective == pytest.approx(float((w[:, None] * phi * second).sum()), abs=1e-12)
+    _, highs_objective, _ = lp._OrderingLp(values)._solve_highs(w, slack)
+    assert objective == pytest.approx(highs_objective, abs=1e-9)
+
+
+def relaxed_example3():
+    """An example-3 LP whose simplex pivots: slack eps/18 at weights (0.9, 0.1)."""
+    return lp._OrderingLp(EX3.value_matrix), np.array([0.9, 0.1]), _slack(0.2, 3)
+
+
+@pytest.mark.parametrize("damage", ["row_sum", "ordering", "dual", "pivot_cap"])
+def test_refused_native_point_falls_through_to_highs(monkeypatch, damage):
+    ordering, w, slack = relaxed_example3()
+    real, returned = lp.simplex, []
+
+    def damaged(*args):
+        solved = real(*args)
+        if solved is not None:
+            x, z = solved
+            if damage == "row_sum":
+                x = x + np.eye(*x.shape)[0] * 10 * FEAS_TOL
+            elif damage == "ordering":
+                # state A entirely on pair (1, 0), though v_1 < v_0 in both states
+                x = x.copy()
+                x[0] = w[0] * np.eye(6)[signal_space(3).index((1, 0))]
+            elif damage == "dual":
+                z = np.zeros_like(z)  # the bound of no ordering rows: unattainable here
+            solved = x, z
+        returned.append(solved)
+        return solved
+
+    if damage == "pivot_cap":
+        monkeypatch.setattr(lp, "NATIVE_MAX_PIVOTS", 1)
+    monkeypatch.setattr(lp, "simplex", damaged)
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as highs:
+        phi, objective, z = ordering.solve(w, slack)
+    assert len(returned) == 1 and highs.call_count == 1
+    assert (returned[0] is None) == (damage == "pivot_cap")
+    want = ordering._solve_highs(w, slack)
+    assert np.array_equal(phi, want[0]) and objective == want[1]
+    assert np.array_equal(z, want[2])
+
+
+def test_native_route_pivots_and_matches_highs():
+    # the case above, undamaged: the simplex leaves its start and is kept
+    ordering, w, slack = relaxed_example3()
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as highs:
+        _, objective, _ = ordering.solve(w, slack)
+    assert highs.call_count == 0
+    assert objective == pytest.approx(ordering._solve_highs(w, slack)[1], abs=1e-9)
+
+
+def test_zero_weights_large_lps_and_negative_slack_take_the_highs_route():
+    with mock.patch.object(lp, "simplex", wraps=lp.simplex) as native:
+        with mock.patch.object(lp, "linprog", wraps=lp.linprog) as highs:
+            _, objective = solve_example3(weights=[0.9, 0.0])
+        assert highs.call_count == 1
+        assert objective == pytest.approx(0.9 * max2(EX3.value_matrix[0]))
+        big = np.tile(EX3.value_matrix, (lp.NATIVE_MAX_COLUMNS // 12 + 1, 1))
+        _, objective = solve_ordering_lp(big, np.full(len(big), 1 / len(big)), 0.0)
+        assert objective == pytest.approx(solve_example3(weights=[0.5, 0.5])[1], abs=1e-9)
+        with pytest.raises(SolverFailure):  # no phi meets rows of slack -1
+            solve_example3(slack=-1.0)
+    assert native.call_count == 1  # only the [0.5, 0.5] solve

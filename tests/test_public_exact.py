@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from signalcraft.auction import conditional_values, kvs_public_revenue, max2
+from signalcraft.auction import _signal_posteriors, kvs_public_revenue, max2
 from signalcraft.model import (
     KvsInstance,
     KvsState,
@@ -90,9 +90,8 @@ def test_posterior_ordering_of_used_signals():
     for _ in range(10):
         inst = random_instance(rng, 3, 4)
         scheme, _ = solve_optimal_public(inst)
-        for sig in scheme.signals():
+        for sig, alpha, post in _signal_posteriors(inst, scheme):
             i, j = sig.payload
-            alpha, post = conditional_values(inst, scheme, sig)
             if alpha <= 1e-9:
                 continue
             assert post[i] >= post[j] - 1e-7

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 import signalcraft.lp as lp
-from signalcraft.lp import FaceCache, solve_ordering_lp
+from signalcraft.lp import solve_ordering_lp
 from signalcraft.model import KvsInstance, KvsState, Signal, ValidationError, make_example3
 from signalcraft.oracle import brute_force_public_optimal
 from signalcraft.public_exact import signal_space
@@ -21,11 +21,18 @@ from signalcraft.public_mc import (
     _family_draws,
     _prior_face,
     _slack,
-    _solve_and_draw,
     evaluate_mc_scheme,
     mc_signal,
     sample_count,
 )
+
+
+def counting_solves():
+    """Counts cold solves, by either route: each goes through
+    ``_OrderingLp.solve``."""
+    return mock.patch.object(
+        lp._OrderingLp, "solve", autospec=True, side_effect=lp._OrderingLp.solve
+    )
 
 
 def test_sample_count_frozen_values():
@@ -136,7 +143,7 @@ def test_mc_signal_does_not_depend_on_call_history():
         state_id = inst.states[int(rng.integers(30))].id
         mc_signal(inst, state_id, McConfig(epsilon=(0.2, 0.3)[call % 2], seed=100 + call))
     assert len(inst.prior_faces) == 2
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         later = [mc_signal(inst, state_id, config, detail=True) for state_id, config in calls]
     assert solver.call_count < len(calls)  # some calls were served by the face
     for a, b in zip(first, later):
@@ -227,7 +234,7 @@ def test_face_family_holds_at_most_family_faces(monkeypatch):
         state_id = inst.states[int(rng.integers(40))].id
         mc_signal(inst, state_id, McConfig(epsilon=0.2, seed=500 + call))
     family = inst.face_families[slack, k]
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         while family._grow():
             pass
         assert solver.call_count == 0 and len(family.faces) == 3
@@ -294,7 +301,7 @@ def test_more_states_than_samples_never_tries_a_face():
     config = McConfig(epsilon=0.2, seed=0, k_override=200)
     rng = np.random.default_rng(3)
     for call in range(5):
-        with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+        with counting_solves() as solver:
             mc_signal(inst, f"s{int(rng.integers(300))}", config, rng=np.random.default_rng(call))
         assert solver.call_count == 1
     assert inst.prior_faces == {} and inst.face_families == {}
@@ -307,7 +314,7 @@ def test_prior_face_that_certifies_no_family_draw_opens_no_family():
     prior = _prior_face(inst, slack)
     assert all(prior.certify(d) is None for d in _family_draws(inst.masses, k))
     config = McConfig(epsilon=0.2, seed=0, k_override=k)
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         for call in range(5):
             mc_signal(inst, "s0", config, rng=np.random.default_rng(call))
     assert inst.face_families == {(slack, k): None}
@@ -327,7 +334,7 @@ def test_family_serves_an_instance_whose_prior_face_certifies_the_first_draws():
         KvsState(f"s{s}", float(m), tuple(v)) for s, (m, v) in enumerate(zip(masses, values))
     ))
     config = McConfig(epsilon=0.2, seed=0)
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         for i in range(500):
             rng = np.random.default_rng([7, i])
             state = int(rng.choice(50, p=inst.masses))
@@ -341,7 +348,7 @@ def test_first_call_on_many_states_builds_a_linear_size_face():
     inst = KvsInstance(n=3, states=tuple(
         KvsState(f"s{s}", 1.0 / num_states, tuple(v)) for s, v in enumerate(values)
     ))
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         got = mc_signal(inst, "s0", McConfig(epsilon=0.2, seed=0), detail=True)
     assert len(got.support) == num_states
     assert solver.call_count <= 2  # the prior LP, then a cold solve if refuted
@@ -426,9 +433,8 @@ def test_emitted_signal_satisfies_slackened_ordering():
 
 
 def test_evaluator_plays_the_signalers_scheme():
-    # replay the spawned trials in order through the per-trial body with one
-    # face cache, check every trial's LP optimum against a cold solve, and
-    # redo the bookkeeping
+    # replay the spawned trials in order through mc_signal, check every
+    # trial's LP optimum against a cold solve, and redo the bookkeeping
     rng = np.random.default_rng(8)
     masses = rng.dirichlet(np.ones(30))
     values = rng.choice([0.0, 0.5, 1.0], size=(30, 3))  # ties
@@ -443,17 +449,17 @@ def test_evaluator_plays_the_signalers_scheme():
         trials = 120
         result = evaluate_mc_scheme(inst, config, trials)
         k, slack = config.k_for(3), _slack(config.epsilon, 3)
-        solve = FaceCache().solve
         emitted = []
         for seed in np.random.SeedSequence(config.seed).spawn(trials):
             trial_rng = np.random.default_rng(seed)
             s_idx = int(trial_rng.choice(len(inst.states), p=inst.masses))
-            p, weights, support, _, objective = _solve_and_draw(
-                inst, s_idx, k, slack, trial_rng, solve
+            d = mc_signal(inst, inst.states[s_idx].id, config, rng=trial_rng, detail=True)
+            assert d.k == k
+            _, cold = solve_ordering_lp(
+                inst.value_matrix[d.support], d.weights[d.support], slack
             )
-            _, cold = solve_ordering_lp(inst.value_matrix[support], weights[support], slack)
-            assert objective == pytest.approx(cold, abs=1e-9)
-            emitted.append((s_idx, p))
+            assert d.lp_objective == pytest.approx(cold, abs=1e-9)
+            emitted.append((s_idx, signal_space(3).index(d.signal.payload)))
         posterior_sum = {}
         for s_idx, p in emitted:
             total, count = posterior_sum.get(p, (np.zeros(3), 0))
@@ -506,7 +512,7 @@ def test_evaluate_example3_with_formula_sample_count():
 def test_evaluator_reuses_certified_faces():
     inst = make_example3(0.15)
     config = McConfig(epsilon=0.15, seed=21)  # formula sample count
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         result = evaluate_mc_scheme(inst, config, trials=200)
     assert solver.call_count <= 3
     _, opt = brute_force_public_optimal(inst)
@@ -521,6 +527,6 @@ def test_evaluator_reuses_certified_faces():
     inst = KvsInstance(n=3, states=tuple(
         KvsState(f"s{s}", float(m), tuple(v)) for s, (m, v) in enumerate(zip(masses, values))
     ))
-    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as solver:
+    with counting_solves() as solver:
         evaluate_mc_scheme(inst, McConfig(epsilon=0.2, seed=7001), trials=300)
     assert solver.call_count <= 10
