@@ -1,11 +1,10 @@
-"""The second-price payment and the revenue/welfare functionals.
+"""The second-price payment and the public-scheme revenue functionals.
 
 In a public scheme every bidder bids his posterior-expected value given the
 signal (the dominant strategy), so KVS revenue is a sum over signals of the
-signal probability times the second-highest posterior value, and KVS welfare
-replaces second-highest with highest.  In BVS the bid also conditions on the
-bidder's own private type draw, and revenue carries an extra expectation over
-the types, estimated here by seeded Monte-Carlo.
+signal probability times the second-highest posterior value.  In BVS the bid
+also conditions on the bidder's own private type draw, and revenue carries an
+extra expectation over the types, estimated here by seeded Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -73,13 +72,6 @@ def kvs_public_revenue(instance: KvsInstance, scheme: PublicScheme) -> float:
     """Exact revenue under truthful bidding of conditional expected values."""
     return sum(
         alpha * max2(post) for _, alpha, post in _signal_posteriors(instance, scheme)
-    )
-
-
-def kvs_public_welfare(instance: KvsInstance, scheme: PublicScheme) -> float:
-    return sum(
-        alpha * float(np.max(post))
-        for _, alpha, post in _signal_posteriors(instance, scheme)
     )
 
 

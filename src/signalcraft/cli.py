@@ -3,7 +3,8 @@
 One binary, subcommand style.  Every run can emit a replayable experiment
 record: the CSV holds only seed-determined fields, so replaying a command
 with the same instance and seed reproduces it byte for byte (wall time lives
-in the JSON sidecar only).
+in the JSON sidecar only).  Each subcommand imports the package modules it
+runs, so that a command starts without the modules of the others.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import auction, bvs_pool, oracle, private, public_exact, public_mc
 from .lp import SolverFailure
 from .model import (
     BvsInstance,
@@ -198,6 +198,8 @@ def cmd_gen_instance(args) -> list[ExperimentRecord]:
 
 
 def cmd_solve_public_exact(args) -> list[ExperimentRecord]:
+    from . import public_exact
+
     instance = _require_kvs(_load(args.instance))
     scheme, revenue = public_exact.solve_optimal_public(instance)
     if args.out:
@@ -217,6 +219,8 @@ def cmd_solve_public_exact(args) -> list[ExperimentRecord]:
 
 
 def cmd_sign_public_mc(args) -> list[ExperimentRecord]:
+    from . import public_mc
+
     instance = _require_kvs(_load(args.instance))
     config = public_mc.McConfig(args.epsilon, args.seed, args.override_k)
     details = public_mc.mc_signal(instance, args.state, config, detail=True)
@@ -234,6 +238,8 @@ def cmd_sign_public_mc(args) -> list[ExperimentRecord]:
 
 
 def cmd_eval_public_mc(args) -> list[ExperimentRecord]:
+    from . import public_mc
+
     instance = _require_kvs(_load(args.instance))
     config = public_mc.McConfig(args.epsilon, args.seed, args.override_k)
     result = public_mc.evaluate_mc_scheme(instance, config, args.trials)
@@ -254,6 +260,8 @@ def cmd_eval_public_mc(args) -> list[ExperimentRecord]:
 
 
 def cmd_bvs_pool(args) -> list[ExperimentRecord]:
+    from . import bvs_pool
+
     instance = _require_bvs(_load(args.instance))
     scheme, guarantee_ok = bvs_pool.make_tail_pooling_scheme(instance)
     rng = np.random.default_rng(args.seed)
@@ -284,6 +292,8 @@ def cmd_bvs_pool(args) -> list[ExperimentRecord]:
 
 
 def cmd_bvs_check_lemma6(args) -> list[ExperimentRecord]:
+    from . import bvs_pool
+
     high = parse_distribution(args.high)
     low = parse_distribution(args.low)
     report = bvs_pool.check_lemma6(
@@ -313,11 +323,16 @@ def cmd_bvs_check_lemma6(args) -> list[ExperimentRecord]:
 
 
 def cmd_private_scheme(args) -> list[ExperimentRecord]:
+    from . import private
+
     instance = _require_kvs(_load(args.instance))
     result = private.run_private_scheme(
         instance, eps=args.epsilon, delta=args.delta, seed=args.seed,
         trials=args.trials,
     )
+    # Theorem 5's guarantee is claimed only under these preconditions
+    for warning in private.check_theorem5_assumptions(instance):
+        print(f"warning: {warning}", file=sys.stderr)
     print(
         f"aggregate worst-equilibrium revenue: {fmt(result.aggregate_revenue)} "
         f"(simulated {fmt(result.simulated_revenue)} +- {fmt(result.simulated_se)})"
@@ -357,6 +372,8 @@ def cmd_private_scheme(args) -> list[ExperimentRecord]:
 
 
 def cmd_oracle(args) -> list[ExperimentRecord]:
+    from . import oracle
+
     if args.oracle_command == "partition-welfare":
         instance = _require_bvs(_load(args.instance))
         partition, welfare = oracle.best_partition_welfare(instance, args.max_signals)
@@ -405,6 +422,8 @@ def cmd_oracle(args) -> list[ExperimentRecord]:
 
 
 def cmd_compare(args) -> list[ExperimentRecord]:
+    from . import auction, private, public_exact
+
     instance = _require_kvs(_load(args.instance))
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     rows = []

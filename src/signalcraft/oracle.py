@@ -1,16 +1,19 @@
 """Independent brute-force ground truth.
 
 Everything here recomputes a guarantee by a route separate from the module it
-checks: the full optimal-public LP assembled from scratch (pair-major layout,
-direct solver call), exhaustive partition search for welfare caps on few-signal
-schemes, the closed binomial formulas for the separation instance, and exact
-conditional expectations of binomial tails.
+checks: the full optimal-public LP assembled from scratch in a pair-major
+layout and solved exactly in rationals up to EXACT_MAX_COLUMNS phi columns
+(``exact_ordering_lp``) or by HiGHS above, exhaustive partition search for
+welfare caps on few-signal schemes, the closed binomial formulas for the
+separation instance, and exact conditional expectations of binomial tails.
+Nothing here solves an LP through the production solver code in ``lp``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,17 +30,143 @@ from .model import (
 )
 
 MAX_STATES = 10**4
+# phi columns (states x pairs) up to which the optimal-public LP is solved
+# exactly, in rationals: 10 states at n = 3.  Example 3 (12 columns) takes
+# about 1 ms and a random 60-column LP 2-100 ms on a 2-core VM, but the cost
+# grows steeply with the size, so larger LPs, such as the 300-column LPs of
+# 50-state instances, go to HiGHS.
+EXACT_MAX_COLUMNS = 60
+
+
+def _pair_major(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The signals (i, j), i != j, and the ordering rows as (pair, a, b):
+    for each pair its top row (i, j), then its second-vs-rest rows (j, k).
+    Row (p, a, b) asks bidder a to beat bidder b in the posterior of pair p.
+    Column p * |states| + s holds phi(s, pair p)."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rows = [
+        (p, a, b)
+        for p, (i, j) in enumerate(pairs)
+        for a, b in [(i, j)] + [(j, k) for k in range(n) if k not in (i, j)]
+    ]
+    return pairs, rows
+
+
+def exact_ordering_lp(values, weights, slack) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
+    """The ordering LP over weighted value profiles, solved exactly.
+
+    ``values`` is states x bidders and ``weights`` has one entry per state,
+    each >= 0; both are read exactly, as the rationals their floats hold.
+    The LP: maximise sum_s w_s v(s, j) phi(s, (i, j)) over phi >= 0 whose
+    rows sum to 1, subject to every ordering row
+    -sum_s w_s (v(s, a) - v(s, b)) phi(s, pair) <= slack.
+
+    A dense tableau simplex over ``Fraction`` that prices by Bland's rule,
+    so it cannot cycle (Bland 1977, Math. Oper. Res. 2(2)).  It starts from
+    the no-information basis: every state on the pair (i, j) of the highest
+    and second-highest weighted mean values, whose ordering rows those means
+    meet, and every ordering row slack, which is feasible for any slack >= 0.
+
+    Returns (optimum, phi): phi is states x pairs, pairs in the order
+    (i, j) for i, then j != i, and is the basic solution of the optimal
+    basis, so every row, a zero-weight state's included, sums to 1.  Raises
+    ValidationError above EXACT_MAX_COLUMNS phi columns.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 2 or values.shape[1] < 2 or weights.shape != values.shape[:1]:
+        raise ValidationError(
+            f"need states x (>= 2 bidders) values and one weight per state, got "
+            f"{values.shape} and {weights.shape}"
+        )
+    num_states, n = values.shape
+    pairs, rows = _pair_major(n)
+    num_cols = len(pairs) * num_states
+    if num_cols > EXACT_MAX_COLUMNS:
+        raise ValidationError(
+            f"exact LP limited to {EXACT_MAX_COLUMNS} phi columns, got {num_cols}"
+        )
+    if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+        raise ValidationError("values and weights must be finite")
+    if not ((weights >= 0).all() and 0 <= slack < math.inf):
+        raise ValidationError("weights and the slack must be nonnegative and finite")
+    w = [Fraction(x) for x in weights.tolist()]
+    v = [[Fraction(x) for x in row] for row in values.tolist()]
+    width = num_cols + len(rows) + 1  # phi columns, row slacks, right-hand side
+
+    # constraint rows: row sums, then ordering rows; the last row is the
+    # objective, holding reduced costs and, at the right, -objective
+    tableau = []
+    for s in range(num_states):
+        row = [Fraction(0)] * width
+        for p in range(len(pairs)):
+            row[p * num_states + s] = Fraction(1)
+        row[-1] = Fraction(1)
+        tableau.append(row)
+    for r, (p, a, b) in enumerate(rows):
+        row = [Fraction(0)] * width
+        for s in range(num_states):
+            row[p * num_states + s] = -w[s] * (v[s][a] - v[s][b])
+        row[num_cols + r] = Fraction(1)
+        row[-1] = Fraction(slack)
+        tableau.append(row)
+    objective = [Fraction(0)] * width
+    for p, (_, j) in enumerate(pairs):
+        for s in range(num_states):
+            objective[p * num_states + s] = w[s] * v[s][j]
+    tableau.append(objective)
+
+    means = [sum(w[s] * v[s][i] for s in range(num_states)) for i in range(n)]
+    top, second = sorted(range(n), key=means.__getitem__, reverse=True)[:2]
+    start = pairs.index((top, second))
+    basis = [start * num_states + s for s in range(num_states)]
+    basis += [num_cols + r for r in range(len(rows))]
+    for s in range(num_states):
+        _pivot(tableau, s, basis[s])
+
+    while True:
+        entering = next((c for c, d in enumerate(objective[:-1]) if d > 0), None)
+        if entering is None:
+            break
+        # the LP is bounded (0 <= phi <= 1), so some row limits the step
+        leaving = min(
+            (row[-1] / row[entering], basis[r], r)
+            for r, row in enumerate(tableau[:-1])
+            if row[entering] > 0
+        )[2]
+        _pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+
+    phi = [[Fraction(0)] * len(pairs) for _ in range(num_states)]
+    for r, col in enumerate(basis):
+        if col < num_cols:
+            p, s = divmod(col, num_states)
+            phi[s][p] = tableau[r][-1]
+    return -objective[-1], tuple(tuple(row) for row in phi)
+
+
+def _pivot(tableau: list[list[Fraction]], r: int, c: int) -> None:
+    """Make column c the unit vector of row r, in place."""
+    row = tableau[r]
+    if row[c] != 1:
+        scale = row[c]
+        row[:] = [x / scale for x in row]
+    nonzero = [k for k, x in enumerate(row) if x]
+    for i, other in enumerate(tableau):
+        factor = other[c]
+        if i != r and factor:
+            for k in nonzero:
+                other[k] -= factor * row[k]
 
 
 def brute_force_public_optimal(instance: KvsInstance) -> tuple[PublicScheme, float]:
     """Exact optimal public scheme by solving the full LP over all states.
 
-    Assembled independently of the production solver path: variables are laid
-    out pair-major and the constraint matrices are built as dense arrays fed
-    straight to the backend.
+    Assembled independently of the production solver path, pair-major (see
+    ``_pair_major``).  An LP of at most EXACT_MAX_COLUMNS phi columns is
+    solved in rationals by ``exact_ordering_lp``; a larger one is built as
+    CSR matrices and handed to HiGHS.
     """
-    from scipy.sparse import csr_matrix
-
     problems = instance.validate()
     if problems:
         raise ValidationError("; ".join(problems))
@@ -49,48 +178,13 @@ def brute_force_public_optimal(instance: KvsInstance) -> tuple[PublicScheme, flo
         raise ValidationError("need at least 2 bidders")
     lam = instance.masses
     values = instance.value_matrix
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs, rows = _pair_major(n)
     num_pairs = len(pairs)
-    num_vars = num_pairs * num_states
-
-    def col(p, s):
-        return p * num_states + s
-
-    c = np.zeros(num_vars)
-    for p, (i, j) in enumerate(pairs):
-        for s in range(num_states):
-            c[col(p, s)] = lam[s] * values[s, j]
-
-    # one ordering row per (pair, comparison); each touches one pair's block
-    ub_rows, ub_cols, ub_vals = [], [], []
-    r = 0
-    for p, (i, j) in enumerate(pairs):
-        comparisons = [(i, j)] + [(j, k) for k in range(n) if k not in (i, j)]
-        for a, b in comparisons:
-            ub_rows.extend([r] * num_states)
-            ub_cols.extend(range(p * num_states, (p + 1) * num_states))
-            ub_vals.extend(-lam * (values[:, a] - values[:, b]))
-            r += 1
-    a_ub = csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(r, num_vars))
-
-    eq_rows = np.repeat(np.arange(num_states), num_pairs)
-    eq_cols = np.concatenate([np.arange(s, num_vars, num_states) for s in range(num_states)])
-    a_eq = csr_matrix(
-        (np.ones(num_vars), (eq_rows, eq_cols)), shape=(num_states, num_vars)
-    )
-
-    res = linprog(
-        -c,
-        A_ub=a_ub,
-        b_ub=np.zeros(r),
-        A_eq=a_eq,
-        b_eq=np.ones(num_states),
-        bounds=[(0.0, 1.0)] * num_vars,
-        method="highs",
-    )
-    if res.status != 0:
-        raise SolverFailure(f"brute-force LP failed: {res.message}")
-    phi = np.clip(res.x.reshape(num_pairs, num_states).T, 0.0, None)
+    if num_pairs * num_states <= EXACT_MAX_COLUMNS:
+        optimum, exact_phi = exact_ordering_lp(values, lam, 0)
+        phi, revenue = np.array(exact_phi, dtype=float), float(optimum)
+    else:
+        phi, revenue = _highs_public_optimal(lam, values, pairs, rows)
     alpha = lam @ phi
     keep = [p for p in range(num_pairs) if alpha[p] > 1e-12]
     table = {}
@@ -104,7 +198,43 @@ def brute_force_public_optimal(instance: KvsInstance) -> tuple[PublicScheme, flo
         table[state.id] = {
             Signal.pair(*pairs[p]): float(phi[s, p] / total) for p in keep
         }
-    return PublicScheme.explicit(table), -float(res.fun)
+    return PublicScheme.explicit(table), revenue
+
+
+def _highs_public_optimal(lam, values, pairs, rows) -> tuple[np.ndarray, float]:
+    """(phi, objective) of the optimal-public LP at slack 0 by HiGHS."""
+    from scipy.sparse import csr_matrix
+
+    num_states = len(lam)
+    num_pairs = len(pairs)
+    num_vars = num_pairs * num_states
+    c = np.concatenate([lam * values[:, j] for _, j in pairs])
+
+    # each ordering row touches one pair's block
+    ub_rows = np.repeat(np.arange(len(rows)), num_states)
+    ub_cols = np.concatenate([np.arange(p * num_states, (p + 1) * num_states) for p, _, _ in rows])
+    ub_vals = np.concatenate([-lam * (values[:, a] - values[:, b]) for _, a, b in rows])
+    a_ub = csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(rows), num_vars))
+
+    eq_rows = np.repeat(np.arange(num_states), num_pairs)
+    eq_cols = np.concatenate([np.arange(s, num_vars, num_states) for s in range(num_states)])
+    a_eq = csr_matrix(
+        (np.ones(num_vars), (eq_rows, eq_cols)), shape=(num_states, num_vars)
+    )
+
+    res = linprog(
+        -c,
+        A_ub=a_ub,
+        b_ub=np.zeros(len(rows)),
+        A_eq=a_eq,
+        b_eq=np.ones(num_states),
+        bounds=[(0.0, 1.0)] * num_vars,
+        method="highs",
+    )
+    if res.status != 0:
+        raise SolverFailure(f"brute-force LP failed: {res.message}")
+    phi = np.clip(res.x.reshape(num_pairs, num_states).T, 0.0, None)
+    return phi, -float(res.fun)
 
 
 # ---------------------------------------------------------------------------

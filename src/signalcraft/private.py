@@ -83,19 +83,27 @@ def uninformed_best_response(
     opp_max = np.array([b.max() if b.size else 0.0 for b in informed_bids])
     own_value = np.array([p[j] for p in profiles])
 
+    gain = masses * (own_value - opp_max)
     edges = sorted(set(float(m) for m in opp_max))
     intervals = []
+    scales = []  # each piece's sum of |terms|, the scale of its rounding
     if edges[0] > 0.0:
         intervals.append((0.0, edges[0], 0.0))
+        scales.append(0.0)
     for r, lo in enumerate(edges):
         hi = edges[r + 1] if r + 1 < len(edges) else math.inf
         beaten = opp_max <= lo + _TIE_TOL
-        utility = float((masses[beaten] * (own_value[beaten] - opp_max[beaten])).sum())
-        intervals.append((lo, hi, utility))
+        intervals.append((lo, hi, float(gain[beaten].sum())))
+        scales.append(float(np.abs(gain[beaten]).sum()))
 
-    max_utility = max(u for _, _, u in intervals)
+    top = max(range(len(intervals)), key=lambda k: intervals[k][2])
+    max_utility = intervals[top][2]
+    # a tie is judged relative to the terms the two utilities sum, so that
+    # scaling every mass by one factor leaves the best set as it is
     best = tuple(
-        (lo, hi) for lo, hi, u in intervals if u >= max_utility - _TIE_TOL
+        (lo, hi)
+        for (lo, hi, u), scale in zip(intervals, scales)
+        if u >= max_utility - _TIE_TOL * max(scale, scales[top])
     )
     return BestResponseAnalysis(
         tuple(edges), tuple(intervals), best, max_utility

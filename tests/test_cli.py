@@ -18,7 +18,14 @@ from signalcraft.cli import (
     main,
     parse_distribution,
 )
-from signalcraft.model import ValueDistribution, load_instance, make_example3
+from signalcraft.model import (
+    KvsInstance,
+    KvsState,
+    ValueDistribution,
+    load_instance,
+    make_example3,
+    save_instance,
+)
 
 
 def run(*argv):
@@ -165,10 +172,11 @@ def test_bvs_pool_and_check(tmp_path):
     ) == EXIT_VALIDATION
 
 
-def test_private_scheme_report(tmp_path):
+def test_private_scheme_report(tmp_path, capsys):
     inst = tmp_path / "ex3.json"
     run("gen-instance", "example3", "--epsilon", "0.1", "--out", str(inst))
     report = tmp_path / "private.csv"
+    capsys.readouterr()
     assert run(
         "private-scheme", "--instance", str(inst), "--epsilon", "0.05",
         "--delta", "0.01", "--seed", "1", "--trials", "500",
@@ -178,6 +186,27 @@ def test_private_scheme_report(tmp_path):
         rows = list(csv.DictReader(f))
     assert {r["state"] for r in rows} == {"A", "B"}
     assert all(float(r["worst_revenue"]) >= 0.9 - 1e-9 for r in rows)
+    # example 3 breaks Theorem 5's preconditions: the warnings go to stderr
+    out, err = capsys.readouterr()
+    assert out.startswith("aggregate worst-equilibrium revenue: ") and out.count("\n") == 1
+    assert err.splitlines() == [
+        "warning: bidder 1 support lacks the value 0",
+        "warning: bidder 2 support lacks the value 0",
+        "warning: bidder 3 support lacks the value 0",
+        "warning: prior charges 2 of 8 support-lattice profiles",
+    ]
+
+
+def test_private_scheme_on_a_full_support_lattice_warns_nothing(tmp_path, capsys):
+    profiles = [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
+    inst = KvsInstance(n=2, states=tuple(
+        KvsState(f"s{i}", 0.25, v) for i, v in enumerate(profiles)
+    ))
+    path = tmp_path / "lattice.json"
+    save_instance(inst, path)
+    assert run("private-scheme", "--instance", str(path), "--trials", "100") == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("aggregate worst-equilibrium revenue: ") and err == ""
 
 
 def test_oracle_subcommands(tmp_path):
@@ -252,20 +281,27 @@ import signalcraft.cli as cli
 def loaded():
     print("scipy:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 loaded()
-ex2, ex3 = sys.argv[1:]
+ex2, ex3, t2 = sys.argv[1:]
 assert cli.main(["gen-instance", "example2", "--n", "4", "--out", ex2]) == 0
+assert cli.main(["gen-instance", "theorem2", "--n", "4", "--epsilon", "0.1", "--out", t2]) == 0
 assert cli.main(["oracle", "theorem2", "--n", "16", "--epsilon", "0.3"]) == 0
 assert cli.main(["oracle", "binom-tail", "--m", "10000", "--p", "0.1", "--k", "1100"]) == 0
+assert cli.main(["oracle", "partition-welfare", "--instance", t2, "--max-signals", "2"]) == 0
 assert cli.main(["bvs-pool", "--instance", ex2, "--state", "0100", "--seed", "3"]) == 0
+assert cli.main(["bvs-check-lemma6", "--n", "22", "--high", "uniform:0,1", "--low", "point:0",
+                 "--theta-weight", "1", "--seed", "3"]) == 0
 loaded()
-# the production LP commands of the README on example 3: their LPs are
-# small enough for the native simplex
+# the LP commands of the README on example 3: their LPs are small enough
+# for the native simplex, and the oracle's for its exact solver
 assert cli.main(["gen-instance", "example3", "--epsilon", "0.1", "--out", ex3]) == 0
 for argv in (
     ["solve-public-exact"],
     ["sign-public-mc", "--state", "A", "--epsilon", "0.2", "--seed", "7"],
     ["eval-public-mc", "--epsilon", "0.2", "--trials", "1000", "--seed", "1"],
     ["compare", "--schemes", "full,none,optimal,private"],
+    ["private-scheme", "--epsilon", "0.05", "--delta", "0.01", "--seed", "3",
+     "--report", "per_state.csv"],
+    ["oracle", "public-optimal"],
 ):
     assert cli.main([*argv, "--instance", ex3]) == 0
 loaded()
@@ -274,7 +310,7 @@ loaded()
 
 def test_commands_without_an_lp_load_no_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    files = [str(tmp_path / "ex2.json"), str(tmp_path / "ex3.json")]
+    files = [str(tmp_path / name) for name in ("ex2.json", "ex3.json", "t2.json")]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, *files],
         cwd=tmp_path,  # compare writes compare.csv into the working directory
@@ -287,6 +323,27 @@ def test_commands_without_an_lp_load_no_scipy(tmp_path):
         for line in proc.stdout.splitlines() if line.startswith("scipy:")
     ]
     assert after_import == []
-    for heavy in ("scipy.stats", "scipy.special", "scipy.integrate"):
-        assert heavy not in after_commands
+    assert after_commands == []
     assert after_lp_commands == []
+
+
+LAZY_GUARD = """
+import sys
+import signalcraft.cli as cli
+assert cli.main(["gen-instance", "example3", "--epsilon", "0.1", "--out", sys.argv[1]]) == 0
+print("modules:", " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "signalcraft")))
+"""
+
+
+def test_cli_imports_only_the_modules_a_command_runs(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_GUARD, str(tmp_path / "ex3.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [x for x in proc.stdout.splitlines() if x.startswith("modules:")]
+    assert line.split()[1:] == [
+        "signalcraft", "signalcraft.cli", "signalcraft.lp", "signalcraft.model"
+    ]

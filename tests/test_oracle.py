@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+import signalcraft.lp as lp
+from signalcraft import oracle
 from signalcraft.auction import kvs_public_revenue, max2
 from signalcraft.model import (
     BvsInstance,
@@ -20,13 +23,16 @@ from signalcraft.model import (
     make_theorem2_instance,
 )
 from signalcraft.oracle import (
+    EXACT_MAX_COLUMNS,
     PartitionScheme,
     best_partition_welfare,
     binomial_cond_expectation,
     brute_force_public_optimal,
+    exact_ordering_lp,
     theorem2_fullinfo_revenue,
 )
 from signalcraft.public_exact import solve_optimal_public
+from signalcraft.public_mc import McConfig, _slack, mc_signal
 
 
 def test_brute_force_example3():
@@ -92,6 +98,159 @@ def test_brute_force_agrees_with_production_solver():
         _, ours = solve_optimal_public(inst)
         _, truth = brute_force_public_optimal(inst)
         assert ours == pytest.approx(truth, abs=1e-5)
+
+
+# --- the exact ordering LP -----------------------------------------------------
+
+TIES = (0.0, 0.5, 1.0)  # every profile ties some pair of bidders often
+GRID = (0.0, 0.25, 0.5, 1.0)
+
+
+def instance_of(values, weights):
+    return KvsInstance(n=values.shape[1], states=tuple(
+        KvsState(f"s{s}", float(w), tuple(v)) for s, (w, v) in enumerate(zip(weights, values))
+    ))
+
+
+@st.composite
+def tiny_lps(draw, positive=False):
+    """Values on a tie-heavy grid, weights from integer counts (positive
+    ones, or any with some mass), and a slack of 0 or eps/(2n^2)."""
+    n = draw(st.integers(2, 3))
+    num_states = draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([TIES, GRID]))
+    values = np.array([
+        draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        for _ in range(num_states)
+    ])
+    counts = np.array(draw(st.lists(
+        st.integers(1 if positive else 0, 5), min_size=num_states, max_size=num_states
+    )), dtype=float)
+    assume(counts.sum() > 0)
+    slack = draw(st.sampled_from([0.0, _slack(0.1, n), _slack(0.3, n)]))
+    return values, counts / counts.sum(), slack
+
+
+def exact_rows(values, weights, slack, phi):
+    """The exact row sums and the largest exact ordering row less the
+    slack, built from the LP's definition signal by signal."""
+    n = values.shape[1]
+    w = [Fraction(x) for x in weights.tolist()]
+    v = [[Fraction(x) for x in row] for row in values.tolist()]
+    worst = -Fraction(slack)
+    for p, (i, j) in enumerate(lp.signal_space(n)):
+        post = [sum(w[s] * phi[s][p] * v[s][b] for s in range(len(w))) for b in range(n)]
+        for a, b in [(i, j)] + [(j, k) for k in range(n) if k not in (i, j)]:
+            worst = max(worst, post[b] - post[a] - Fraction(slack))
+    return [sum(row) for row in phi], worst
+
+
+@settings(max_examples=120, deadline=None)
+@given(tiny_lps(positive=True))
+def test_exact_lp_matches_the_native_route(case):
+    values, w, slack = case
+    optimum, phi = exact_ordering_lp(values, w, slack)
+    row_sums, worst = exact_rows(values, w, slack, phi)
+    assert row_sums == [1] * len(w) and worst <= 0
+    assert min(min(row) for row in phi) >= 0
+    second = [j for _, j in lp.signal_space(values.shape[1])]
+    assert optimum == sum(
+        Fraction(w[s]) * phi[s][p] * Fraction(values[s, j])
+        for s in range(len(w)) for p, j in enumerate(second)
+    )
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as highs:
+        _, objective = lp.solve_ordering_lp(values, w, slack)
+    assert highs.call_count == 0
+    assert abs(objective - float(optimum)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(tiny_lps())
+def test_exact_lp_matches_the_exact_public_scheme(case):
+    values, w, _ = case
+    _, revenue = solve_optimal_public(instance_of(values, w))
+    event("zero mass" if (w == 0).any() else "positive masses")
+    assert abs(revenue - float(exact_ordering_lp(values, w, 0)[0])) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_lps(positive=True), st.sampled_from([0.1, 0.3]), st.integers(0, 2**16))
+def test_exact_lp_matches_face_certified_signals(case, eps, seed):
+    values, w, _ = case
+    inst = instance_of(values, w)
+    config = McConfig(eps, seed, k_override=12)  # K >= |states|: faces serve
+    real, cold = lp._OrderingLp.solve, []
+
+    def counted(self, *args):
+        cold.append(1)
+        return real(self, *args)
+
+    rng = np.random.default_rng(seed)
+    served = 0
+    with mock.patch.object(lp._OrderingLp, "solve", counted):
+        for _ in range(4):
+            before = len(cold)
+            details = mc_signal(inst, "s0", config, rng=rng, detail=True)
+            served += len(cold) == before
+            optimum, _ = exact_ordering_lp(values, details.weights, _slack(eps, inst.n))
+            assert abs(details.lp_objective - float(optimum)) <= 1e-12
+    event(f"faces served {served} of 4")
+
+
+@pytest.mark.parametrize("levels", ["grid", "uniform"])
+def test_highs_branch_of_the_oracle_matches_its_exact_branch(monkeypatch, levels):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        num_states = int(rng.integers(1, EXACT_MAX_COLUMNS // (n * (n - 1)) + 1))
+        values = rng.random((num_states, n))
+        if levels == "grid":
+            values = np.array(GRID)[rng.integers(len(GRID), size=values.shape)]
+        inst = instance_of(values, rng.dirichlet(np.ones(num_states)))
+        _, exact = brute_force_public_optimal(inst)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "EXACT_MAX_COLUMNS", 0)
+            with mock.patch.object(oracle, "linprog", wraps=oracle.linprog) as highs:
+                _, by_highs = brute_force_public_optimal(inst)
+        assert highs.call_count == 1
+        assert abs(by_highs - exact) <= 1e-9
+
+
+def test_exact_lp_above_its_cap_is_refused():
+    copies = EXACT_MAX_COLUMNS // 12 + 1  # example 3 has 12 columns
+    values = np.tile(make_example3(0.1).value_matrix, (copies, 1))
+    states = len(values)
+    with pytest.raises(ValidationError, match="limited to"):
+        exact_ordering_lp(values, np.full(states, 1 / states), 0.0)
+    # the oracle itself solves it by HiGHS
+    with mock.patch.object(oracle, "linprog", wraps=oracle.linprog) as highs:
+        _, revenue = brute_force_public_optimal(instance_of(values, np.full(states, 1 / states)))
+    assert highs.call_count == 1
+    half = float(exact_ordering_lp(make_example3(0.1).value_matrix, [0.5, 0.5], 0.0)[0])
+    assert revenue == pytest.approx(half, abs=1e-9)
+    with pytest.raises(ValidationError):
+        exact_ordering_lp(values[:2], [0.5, 0.5], -0.1)
+
+
+def test_exact_lp_gives_zero_mass_states_a_valid_row():
+    # the second and fourth states carry no weight but keep a row of phi
+    values = np.array([[0.5, 0.5, 1.0], [0.25, 1.0, 0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 1.0]])
+    for slack in (0.0, _slack(0.2, 3)):
+        optimum, phi = exact_ordering_lp(values, [0.6, 0.0, 0.4, 0.0], slack)
+        assert [sum(row) for row in phi] == [1, 1, 1, 1]
+        assert all(q >= 0 for row in phi for q in row)
+        _, positive = lp.solve_ordering_lp(values[[0, 2]], np.array([0.6, 0.4]), slack)
+        assert abs(float(optimum) - positive) <= 1e-12
+
+
+def test_example3_exact_oracle_matches_highs():
+    for eps in (0.05, 0.1, 0.2, 0.3):
+        inst = make_example3(eps)
+        optimum, _ = exact_ordering_lp(inst.value_matrix, inst.masses, 0.0)
+        _, revenue = brute_force_public_optimal(inst)
+        assert revenue == float(optimum)
+        _, by_highs = lp._OrderingLp(inst.value_matrix)._solve_highs(inst.masses, 0.0)[:2]
+        assert abs(revenue - by_highs) <= 1e-12
 
 
 def theorem2_like(n=4, eps=0.1):

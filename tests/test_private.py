@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signalcraft.auction import max2
@@ -64,6 +64,31 @@ def test_point_posterior_best_response():
     (lo, hi), = analysis.best
     assert lo == 0.4 and hi == math.inf  # contains the true value 0.6
     assert analysis.max_utility == pytest.approx(0.6 - 0.4)
+
+
+def test_tiny_auxiliary_mass_keeps_bid_zero_out_of_the_best_set():
+    # outbidding u's second value stays strictly better than bidding 0,
+    # however small the auxiliary mass makes its utility
+    for delta in (0.01, 1e-14):
+        posterior = [(1 - delta, (0.0, 0.9, 0.5)), (delta, (0.8, 0.3, 0.0))]
+        assert uninformed_best_response(posterior, 0).best == ((0.3, 0.9),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 9), st.tuples(*[st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.9, 1.0))] * 3)),
+        min_size=1, max_size=4,
+    ),
+    st.integers(0, 2),
+    st.floats(1e-13, 1e3),
+)
+@example([(6, (0.9, 0.0, 0.1)), (4, (0.2, 0.5, 0.3))], 1, 1e-13)
+def test_best_response_set_does_not_change_with_the_mass_scale(posterior, j, scale):
+    posterior = [(count / 10, values) for count, values in posterior]
+    want = uninformed_best_response(posterior, j).best
+    scaled = [(m * scale, values) for m, values in posterior]
+    assert uninformed_best_response(scaled, j).best == want
 
 
 def test_empty_posterior_rejected():
