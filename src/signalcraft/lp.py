@@ -10,13 +10,17 @@ distribution with its ordering constraints slackened.  Both call
 ``solve_ordering_lp``, and every cold solve here goes through
 ``_OrderingLp.solve``, which takes one of two routes:
 
-- an LP of at most NATIVE_MAX_COLUMNS phi columns, with positive finite
-  weights, finite values and a finite slack >= 0, goes first to ``simplex``,
-  a dense primal simplex in numpy.  Its point is kept only when it passes
-  the residual check and the duality-gap test against its own duals;
+- an LP of at most NATIVE_MAX_COLUMNS phi columns (50 profiles at n = 3),
+  with positive finite weights, finite values and a finite slack >= 0, goes
+  first to ``simplex``, a dense primal simplex in numpy;
 - every other LP, and every LP whose native point is refused or whose
   simplex reaches NATIVE_MAX_PIVOTS, goes to the HiGHS backend shipped with
-  scipy (``linprog``), whose solution passes the residual check.
+  scipy (``linprog``), solved once more at HIGHS_RETRY_TOL when its point is
+  refused.
+
+On both routes a point is kept only when ``_OrderingLp.certify`` passes it
+with the route's own ordering-row duals: the residual check and the
+duality-gap test.
 
 The sampled scheme solves the same LP thousands of times with drifting
 weights.  The face of one optimum (``optimal_face``) carries a dual
@@ -28,7 +32,9 @@ behind it, which share the prior face's ``_OrderingLp``, and solves cold
 when no face is certified.
 
 scipy is imported on the first HiGHS solve, not with this module, so that
-commands which solve no LP, or only small ones, start without it.
+commands which solve no LP, or only LPs within NATIVE_MAX_COLUMNS, start
+without it: the sampled signaler at the formula sample count on instances of
+up to 50 states at n = 3 is one of them.
 ``linprog`` and ``simplex`` below are the module-level names of the two
 routes; wrap or replace them to observe or stub one route, or wrap
 ``_OrderingLp.solve`` to count cold solves on both.
@@ -45,21 +51,35 @@ from .model import ValidationError
 
 FEAS_TOL = 1e-7
 # phi columns (profiles x pairs) up to which a solve tries the native
-# simplex: 20 profiles at n = 3.  At n = 3 the dense simplex beats HiGHS up
-# to about 50 profiles (1.7 against 3.6 ms, medians on a 2-core VM) and
-# loses by 100 (9.1 against 7.0 ms).  The cap stays well below 50 profiles so
-# that LPs of 50 profiles keep their HiGHS optima, and the seeded outputs
-# that rest on them do not move.
-NATIVE_MAX_COLUMNS = 120
+# simplex: the largest size measured at which it beats HiGHS at every n.
+# Formula-K draws (eps 0.2) on U[0,1] values and Dirichlet(1) masses; ms per
+# certified solve, native / HiGHS, medians of 8 draws (2-core VM, numpy 2.4,
+# scipy 1.17), with the profiles in brackets:
+#
+#   columns   n = 2               n = 3               n = 4
+#   120       0.9 / 3.6  (60)     0.9 / 2.7  (20)     1.1 / 3.0  (10)
+#   240       2.3 / 4.1  (120)    1.9 / 3.3  (40)     1.9 / 3.6  (20)
+#   300       3.3 / 4.3  (150)    2.6 / 3.5  (50)     2.2 / 3.7  (25)
+#   360       4.1 / 3.4  (180)    3.6 / 4.0  (60)     2.6 / 4.3  (30)
+#   420       5.8 / 3.6  (210)    4.4 / 4.4  (70)     3.4 / 4.7  (35)
+#   480       7.1 / 3.7  (240)    5.2 / 4.7  (80)     4.7 / 5.1  (40)
+#
+# At n = 2 the simplex pivots 2-8 times, but its basis has a row per
+# profile, so inverting it dominates and it loses from 360 columns.  At
+# n = 3 its pivots grow with the profiles (22 at 120 columns, 68 at 300, 104
+# at 480) and it ties at 420.  300 columns hold every formula-K draw on 50
+# profiles at n = 3.
+NATIVE_MAX_COLUMNS = 300
 NATIVE_MAX_PIVOTS = 1_000  # a native solve that reaches this goes to HiGHS
+HIGHS_RETRY_TOL = 1e-10  # HiGHS feasibility tolerances of the re-solve of a refused point
 BLAND_AFTER = 50  # degenerate pivots after which the simplex prices by Bland's rule
 _PRICE_TOL = 1e-11  # a column enters below this reduced cost; the gap test allows 1e-9
 _PIVOT_TOL = 1e-9  # smallest pivot element the ratio test accepts
 
 
 class SolverFailure(RuntimeError):
-    """The backend returned no optimal solution, or one that fails its
-    residual check."""
+    """The backend returned no optimal solution, or one that ``certify``
+    refuses."""
 
 
 def linprog(*args, **kwargs):
@@ -86,8 +106,9 @@ def solve_ordering_lp(values, weights, slack: float) -> tuple[np.ndarray, float]
     beats every other k in weighted expectation, up to ``slack``.
 
     Returns (phi, objective): phi is profiles x pairs in ``signal_space``
-    order, clipped at 0.  Raises SolverFailure unless the solve is optimal and
-    phi meets every row sum and ordering row within FEAS_TOL.
+    order, clipped at 0.  Raises SolverFailure unless the solve is optimal,
+    phi meets every row sum and ordering row within FEAS_TOL, and the
+    objective lies within 1e-9 of the dual bound of the solve's duals.
     """
     phi, objective, _ = _OrderingLp(values).solve(np.asarray(weights, dtype=float), slack)
     return phi, objective
@@ -162,13 +183,12 @@ class _OrderingLp:
         np.add.at(reduced.T, self.row_pair, (self.diffs * z).T)
         return reduced.min(axis=1)
 
-    def certify(self, w, x, y, slack_price: float, slack: float, states=slice(None)):
-        """(phi, objective) of joint mass x for weights w, both given on
+    def certify(self, w, phi, y, slack_price: float, slack: float, states=slice(None)):
+        """(phi clipped at 0, objective) for weights w, both given on
         ``states`` (every profile by default), or None unless phi is
         nonnegative, passes the residual check in the LP on those states, and
         its objective lies within 1e-9 of the dual bound w.y + slack_price,
         with the prices y of those states."""
-        phi = x / w[:, None]
         if not phi.min() >= -FEAS_TOL:  # written so that NaN fails too
             return None
         phi = np.clip(phi, 0.0, None)
@@ -180,7 +200,8 @@ class _OrderingLp:
         return (phi, objective) if certified else None
 
     def solve(self, w, slack: float) -> tuple[np.ndarray, float, np.ndarray]:
-        """A cold solve in phi form: (phi, objective, ordering-row duals).
+        """A cold solve in phi form: (phi, objective, ordering-row duals),
+        whose point ``certify`` has passed with those duals.
 
         An LP of at most NATIVE_MAX_COLUMNS phi columns, with positive finite
         weights, finite values and a finite slack >= 0, tries ``simplex``
@@ -197,14 +218,16 @@ class _OrderingLp:
             solved = simplex(self, w, slack)
             if solved is not None:
                 x, z = solved
-                found = self.certify(w, x, self.prices(z), slack * z.sum(), slack)
+                found = self.certify(w, x / w[:, None], self.prices(z), slack * z.sum(), slack)
                 if found is not None:
                     return (*found, z)
         return self._solve_highs(w, slack)
 
     def _solve_highs(self, w, slack: float) -> tuple[np.ndarray, float, np.ndarray]:
-        """``solve`` by HiGHS; raises SolverFailure unless the solve is
-        optimal and passes the residual check."""
+        """``solve`` by HiGHS, whose point is kept when ``certify`` passes it
+        with HiGHS's own ordering-row duals.  A refused point is solved once
+        more at feasibility tolerances of HIGHS_RETRY_TOL; raises
+        SolverFailure unless a solve is optimal and its point is kept."""
         from scipy.sparse import csr_matrix
 
         num_states, num_pairs = self.gain.shape
@@ -224,27 +247,40 @@ class _OrderingLp:
             (np.ones(num_vars), np.arange(num_vars), num_pairs * np.arange(num_states + 1)),
             shape=(num_states, num_vars),
         )
-        res = linprog(
-            -(w[:, None] * self.gain).ravel(),
-            A_ub=a_ub,
-            b_ub=np.full(num_rows, float(slack)),
-            A_eq=a_eq,
-            b_eq=np.ones(num_states),
-            # phi <= 1 follows from the row sums, but HiGHS needs about twice
-            # the iterations without it
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-        if res.status != 0:
-            raise SolverFailure(f"ordering LP: solver status {res.status}: {res.message}")
-        phi = np.clip(res.x.reshape(num_states, num_pairs), 0.0, None)
-        gaps = self.residuals(w, phi, slack)
-        if not max(gaps) <= FEAS_TOL:
-            raise SolverFailure(
-                f"ordering LP: solution misses a row sum by {gaps[0]:.3g} "
-                f"and an ordering row by {gaps[1]:.3g}"
+        retry = {
+            "primal_feasibility_tolerance": HIGHS_RETRY_TOL,
+            "dual_feasibility_tolerance": HIGHS_RETRY_TOL,
+        }
+        for options in (None, retry):
+            res = linprog(
+                -(w[:, None] * self.gain).ravel(),
+                A_ub=a_ub,
+                b_ub=np.full(num_rows, float(slack)),
+                A_eq=a_eq,
+                b_eq=np.ones(num_states),
+                # phi <= 1 follows from the row sums, but HiGHS needs about
+                # twice the iterations without it
+                bounds=(0.0, 1.0),
+                method="highs",
+                options=options,
             )
-        return phi, -float(res.fun), res.ineqlin.marginals
+            if res.status != 0:
+                raise SolverFailure(f"ordering LP: solver status {res.status}: {res.message}")
+            phi = res.x.reshape(num_states, num_pairs)
+            z = np.minimum(res.ineqlin.marginals, 0.0)
+            y, slack_price = self.prices(z), slack * z.sum()
+            found = self.certify(w, phi, y, slack_price, slack)
+            if found is not None:
+                return (*found, z)
+        least, phi = phi.min(), np.clip(phi, 0.0, None)
+        row_gap, order_gap = self.residuals(w, phi, slack)
+        shortfall = -float((w[:, None] * phi * self.gain).sum()) - (w @ y + slack_price)
+        raise SolverFailure(
+            f"ordering LP: HiGHS point refused at tolerance {HIGHS_RETRY_TOL:g}: its least "
+            f"entry is {least:.3g}, it misses a row sum by {row_gap:.3g} and an ordering "
+            f"row by {order_gap:.3g}, and its objective lies {shortfall:.3g} below its "
+            "dual bound"
+        )
 
 
 def simplex(lp: _OrderingLp, w, slack: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -380,7 +416,7 @@ class _Face:
         others at weight 0, so the restriction of (y, z) to it is still
         dual-feasible and the duality-gap test stays exact."""
         support = np.flatnonzero(w)
-        x = self.point(w)[support]
+        x, w = self.point(w)[support], w[support]
         return self.lp.certify(
-            w[support], x, self.y[support], self.slack_price, self.slack, support
+            w, x / w[:, None], self.y[support], self.slack_price, self.slack, support
         )

@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from signalcraft import cli
@@ -325,6 +326,55 @@ def test_commands_without_an_lp_load_no_scipy(tmp_path):
     assert after_import == []
     assert after_commands == []
     assert after_lp_commands == []
+
+
+# Each route of the ordering LP is counted where ``lp`` looks it up.
+NATIVE_GUARD = """
+import json
+import sys
+import signalcraft.cli as cli
+import signalcraft.lp as lp
+solves = {"native": 0, "highs": 0}
+def counted(route, solve):
+    def wrapped(*args, **kwargs):
+        solves[route] += 1
+        return solve(*args, **kwargs)
+    return wrapped
+lp.simplex, lp.linprog = counted("native", lp.simplex), counted("highs", lp.linprog)
+for argv in (
+    ["sign-public-mc", "--state", "s00", "--epsilon", "0.2", "--seed", "7"],
+    ["eval-public-mc", "--epsilon", "0.2", "--trials", "200", "--seed", "1"],
+):
+    assert cli.main([*argv, "--instance", sys.argv[1]]) == 0
+print("solves:", json.dumps(solves))
+print("scipy:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_sampled_signaler_on_50_states_solves_natively_without_scipy(tmp_path):
+    # formula K at eps 0.2 (101,924 samples): every LP of these calls, the
+    # prior face's included, has at most 50 x 6 = 300 phi columns
+    rng = np.random.default_rng(50)
+    masses, values = rng.dirichlet(np.ones(50)), rng.random((50, 3))
+    path = tmp_path / "fifty.json"
+    save_instance(KvsInstance(n=3, states=tuple(
+        KvsState(f"s{s:02d}", float(m), tuple(map(float, v)))
+        for s, (m, v) in enumerate(zip(masses, values))
+    )), path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", NATIVE_GUARD, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    (solves,), (scipy,) = [
+        [json.loads(line.removeprefix(tag)) for line in lines if line.startswith(tag)]
+        for tag in ("solves:", "scipy:")
+    ]
+    assert solves["native"] > 0 and solves["highs"] == 0
+    assert scipy == []
 
 
 LAZY_GUARD = """

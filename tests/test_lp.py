@@ -136,6 +136,41 @@ def test_certificate_rejects_a_perturbed_solution(monkeypatch, damage):
         solve_example3()
 
 
+def full_reveal_example3():
+    """Example 3's full-reveal phi: feasible at slack 0, and 0.27 against
+    the optimum 0.28 at the prior masses."""
+    pairs = signal_space(3)
+    return np.concatenate([np.eye(6)[pairs.index((2, 0))], np.eye(6)[pairs.index((0, 1))]])
+
+
+@pytest.mark.parametrize("off_again", [False, True])
+def test_highs_point_below_the_optimum_is_refused_and_solved_again(monkeypatch, off_again):
+    real, options = lp.linprog, []
+
+    def below_optimum(*args, **kwargs):
+        res = real(*args, **kwargs)
+        options.append(kwargs["options"])
+        if len(options) == 1 or off_again:
+            res.x = full_reveal_example3()  # HiGHS's own duals stay
+        return res
+
+    assert max(lp._OrderingLp(EX3.value_matrix).residuals(
+        EX3.masses, full_reveal_example3().reshape(2, 6), 0.0
+    )) <= 0.0
+    highs_only(monkeypatch)
+    monkeypatch.setattr(lp, "linprog", below_optimum)
+    if off_again:
+        with pytest.raises(SolverFailure, match="its objective lies 0.01 below its dual bound"):
+            solve_example3()
+    else:
+        _, objective = solve_example3()
+        assert objective == pytest.approx(0.28, abs=1e-12)
+    retry = dict.fromkeys(
+        ["primal_feasibility_tolerance", "dual_feasibility_tolerance"], lp.HIGHS_RETRY_TOL
+    )
+    assert options == [None, retry]
+
+
 # --- property tests on random small instances -------------------------------
 
 LEVELS = (0.0, 0.25, 0.5, 1.0)  # a coarse grid, so values tie often

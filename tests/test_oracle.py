@@ -164,6 +164,33 @@ def test_exact_lp_matches_the_native_route(case):
     assert abs(objective - float(optimum)) <= 1e-12
 
 
+@st.composite
+def continuous_lps(draw):
+    """Values u ~ U[0,1] or u**6 (badly scaled: entries spread over many
+    orders of magnitude), drawn by a generator of a drawn seed, positive
+    weights from integer counts, and a slack of 0 or eps/(2n^2), with at
+    most EXACT_MAX_COLUMNS phi columns."""
+    n = draw(st.integers(2, 4))
+    num_states = draw(st.integers(1, EXACT_MAX_COLUMNS // (n * (n - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random((num_states, n)) ** draw(st.sampled_from([1, 6]))
+    counts = np.array(draw(st.lists(
+        st.integers(1, 9), min_size=num_states, max_size=num_states
+    )), dtype=float)
+    slack = draw(st.sampled_from([0.0, _slack(draw(st.sampled_from([0.1, 0.3])), n)]))
+    return values, counts / counts.sum(), slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(continuous_lps())
+def test_native_route_matches_the_exact_lp_on_continuous_values(case):
+    values, w, slack = case
+    with mock.patch.object(lp, "linprog", wraps=lp.linprog) as highs:
+        _, objective = lp.solve_ordering_lp(values, w, slack)
+    assert highs.call_count == 0
+    assert abs(objective - float(exact_ordering_lp(values, w, slack)[0])) <= 1e-12
+
+
 @settings(max_examples=80, deadline=None)
 @given(tiny_lps())
 def test_exact_lp_matches_the_exact_public_scheme(case):
